@@ -20,14 +20,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race-detect the packages that spawn goroutines (measurement workers,
-# ensemble networks, experiment scheduler, mtsim's checkpointer, the mtsimd
-# daemon and its serve substrate) and the shared caches (SPT cache, topology
-# generation cache). race-all covers everything but takes several times
-# longer.
+# Race-detect the packages that spawn goroutines (measurement workers, the
+# Figure 9 affinity cells, ensemble networks, experiment scheduler, mtsim's
+# checkpointer, the mtsimd daemon and its serve substrate) and the shared
+# caches (SPT cache, topology generation cache). race-all covers everything
+# but takes several times longer.
 race:
 	$(GO) test -race ./internal/graph/... ./internal/topology/... \
-		./internal/mcast/... ./internal/experiments/... ./internal/serve/... \
+		./internal/mcast/... ./internal/affinity/... ./internal/experiments/... ./internal/serve/... \
 		./internal/cluster/... ./internal/atomicio/... ./internal/chaos/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...
 
@@ -38,7 +38,7 @@ race:
 race-robust:
 	$(GO) test -race -timeout 5m \
 		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|Breaker|Backoff|TLS' \
-		./internal/mcast/... ./internal/experiments/... ./internal/panicsafe/... \
+		./internal/mcast/... ./internal/affinity/... ./internal/experiments/... ./internal/panicsafe/... \
 		./internal/atomicio/... ./internal/serve/... ./internal/graph/... \
 		./internal/cluster/... ./internal/chaos/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...

@@ -324,6 +324,7 @@ func runScheduled(ctx context.Context, out io.Writer, ids []string, p mtreescale
 func printSummary(out io.Writer, stats []mtreescale.ExperimentStats, parallel int, p mtreescale.Profile, total time.Duration) {
 	// The engine worker count the profile actually gets: Protocol.Workers
 	// defaults to GOMAXPROCS and is clamped to the profile's source count.
+	// The fig9 affinity cells run on the same pool.
 	engineWorkers := mtreescale.Protocol{NSource: p.NSource}.EffectiveWorkers()
 	fmt.Fprintf(out, "# schedule: %d experiments, parallel=%d, engine workers/experiment=%d, profile=%s, total wall %.2fs\n",
 		len(stats), parallel, engineWorkers, p.Name, total.Seconds())

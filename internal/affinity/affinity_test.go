@@ -1,6 +1,7 @@
 package affinity
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -213,7 +214,7 @@ func TestSweep9Shape(t *testing.T) {
 	m, _ := NewTreeModel(2, 5)
 	betas := []float64{-1, 0, 1}
 	ns := []int{2, 8}
-	out, err := Sweep9(m, betas, ns, Params{BurnInSweeps: 10, SampleSweeps: 30, Seed: 1})
+	out, err := Sweep9(context.Background(), m, betas, ns, Params{BurnInSweeps: 10, SampleSweeps: 30, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,12 @@
 package affinity
 
 import (
+	"context"
 	"math"
+	"runtime"
+	"sort"
 
+	"mtreescale/internal/mcast"
 	"mtreescale/internal/rng"
 	"mtreescale/internal/stats"
 	"mtreescale/internal/valid"
@@ -71,6 +75,12 @@ func checkBeta(beta float64) error {
 // EstimateTreeSize samples L̄_β(n) on a k-ary tree with receivers at all
 // non-root sites (Figure 9's setup).
 func EstimateTreeSize(m *TreeModel, n int, beta float64, p Params) (Estimate, error) {
+	return estimateTreeSize(context.Background(), m, n, beta, p)
+}
+
+// estimateTreeSize is EstimateTreeSize under a context polled once per
+// sweep; a cancelled chain returns ctx.Err().
+func estimateTreeSize(ctx context.Context, m *TreeModel, n int, beta float64, p Params) (Estimate, error) {
 	if err := p.normalize(); err != nil {
 		return Estimate{}, err
 	}
@@ -78,13 +88,24 @@ func EstimateTreeSize(m *TreeModel, n int, beta float64, p Params) (Estimate, er
 	if err != nil {
 		return Estimate{}, err
 	}
-	for i := 0; i < p.BurnInSweeps; i++ {
+	sweep := func() error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		chain.Sweep()
+		return nil
+	}
+	for i := 0; i < p.BurnInSweeps; i++ {
+		if err := sweep(); err != nil {
+			return Estimate{}, err
+		}
 	}
 	var sizeW, distW stats.Welford
 	for i := 0; i < p.SampleSweeps; i++ {
 		for t := 0; t < p.Thin; t++ {
-			chain.Sweep()
+			if err := sweep(); err != nil {
+				return Estimate{}, err
+			}
 		}
 		sizeW.Add(float64(chain.TreeSize()))
 		distW.Add(chain.AvgPairDist())
@@ -105,19 +126,39 @@ func EstimateTreeSize(m *TreeModel, n int, beta float64, p Params) (Estimate, er
 
 // Sweep9 runs the Figure 9 protocol: for each β and each group size n,
 // estimate L̄_β(n)/n. Returns estimates indexed [beta][n].
-func Sweep9(m *TreeModel, betas []float64, ns []int, p Params) ([][]Estimate, error) {
+//
+// Every cell has its own seed, rng.Split(p.Seed, bi*1000003+ni), so the cells
+// run on the mcast worker pool (GOMAXPROCS workers, largest n first, since
+// cell cost grows with n) and the result is identical for any worker count.
+// Each cell writes only its own slot; when cells fail, the error of the first
+// failing cell in [beta][n] order is returned. Cancelling ctx stops every
+// chain within one sweep and returns ctx.Err().
+func Sweep9(ctx context.Context, m *TreeModel, betas []float64, ns []int, p Params) ([][]Estimate, error) {
 	out := make([][]Estimate, len(betas))
-	for bi, beta := range betas {
+	for bi := range out {
 		out[bi] = make([]Estimate, len(ns))
-		for ni, n := range ns {
-			q := p
-			q.Seed = rng.Split(p.Seed, int64(bi*1000003+ni))
-			est, err := EstimateTreeSize(m, n, beta, q)
-			if err != nil {
-				return nil, err
-			}
-			out[bi][ni] = est
+	}
+	cells := make([]int, len(betas)*len(ns))
+	for c := range cells {
+		cells[c] = c
+	}
+	sort.SliceStable(cells, func(i, j int) bool { return ns[cells[i]%len(ns)] > ns[cells[j]%len(ns)] })
+	errs := make([]error, len(cells))
+	err := mcast.RunWorkersN(ctx, runtime.GOMAXPROCS(0), len(cells), func(j int) error {
+		c := cells[j]
+		bi, ni := c/len(ns), c%len(ns)
+		q := p
+		q.Seed = rng.Split(p.Seed, int64(bi*1000003+ni))
+		out[bi][ni], errs[c] = estimateTreeSize(ctx, m, ns[ni], betas[bi], q)
+		return nil
+	})
+	for _, e := range errs {
+		if e != nil {
+			return nil, e
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

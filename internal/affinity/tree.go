@@ -212,6 +212,12 @@ func (c *Chain) AcceptanceRate() float64 {
 
 // Step proposes moving one uniformly chosen receiver to a uniformly chosen
 // site and accepts with the Metropolis probability min(1, e^{−β·Δd̂}).
+//
+// Δ pairSum is computed read-only along the two exclusive segments from→LCA
+// and to→LCA: a link whose count goes c→c−1 contributes 2c−n−1, one going
+// c→c+1 contributes n−2c−1, and the links above the LCA see −1 then +1 and
+// cancel. Only an accepted move touches the link counts, so a rejection costs
+// one read-only walk.
 func (c *Chain) Step() {
 	c.proposed++
 	i := c.rand.Intn(c.n)
@@ -221,28 +227,53 @@ func (c *Chain) Step() {
 		c.accepted++
 		return
 	}
-	oldPair := c.pairSum
-	c.addPath(from, -1)
-	c.addPath(to, +1)
+	// Level-order ids put every parent below its children, so the larger of
+	// two distinct nodes is never their LCA and can always step up.
+	parent, cnt := c.m.parent, c.cnt
+	n := int64(c.n)
+	var delta int64
+	for a, b := from, to; a != b; {
+		if a > b {
+			delta += 2*int64(cnt[a]) - n - 1
+			a = parent[a]
+		} else {
+			delta += n - 2*int64(cnt[b]) - 1
+			b = parent[b]
+		}
+	}
+	if c.beta != 0 && c.n >= 2 {
+		pairs := float64(n * (n - 1) / 2)
+		deltaD := float64(delta) / pairs
+		uphill := deltaD > 0 && c.beta > 0 || deltaD < 0 && c.beta < 0
+		if uphill && c.rand.Float64() >= math.Exp(-c.beta*deltaD) {
+			return
+		}
+	}
+	c.accepted++
+	c.move(i, from, to, delta)
+}
+
+// move applies an accepted proposal: receiver i goes from → to, changing the
+// pair sum by delta. Only the exclusive segments below the LCA change.
+func (c *Chain) move(i int, from, to int32, delta int64) {
+	parent, cnt := c.m.parent, c.cnt
+	for a, b := from, to; a != b; {
+		if a > b {
+			cnt[a]--
+			if cnt[a] == 0 {
+				c.treeLinks--
+			}
+			a = parent[a]
+		} else {
+			if cnt[b] == 0 {
+				c.treeLinks++
+			}
+			cnt[b]++
+			b = parent[b]
+		}
+	}
+	c.pairSum += delta
 	c.positions[i] = to
-	if c.beta == 0 || c.n < 2 {
-		c.accepted++
-		return
-	}
-	pairs := float64(int64(c.n) * int64(c.n-1) / 2)
-	deltaD := float64(c.pairSum-oldPair) / pairs
-	if deltaD <= 0 && c.beta > 0 || deltaD >= 0 && c.beta < 0 {
-		c.accepted++ // downhill for this β: always accept
-		return
-	}
-	if c.rand.Float64() < math.Exp(-c.beta*deltaD) {
-		c.accepted++
-		return
-	}
-	// Reject: revert.
-	c.addPath(to, -1)
-	c.addPath(from, +1)
-	c.positions[i] = from
 }
 
 // Sweep performs n Steps (one proposal per receiver on average).

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mtreescale/internal/plot"
 )
@@ -311,5 +313,31 @@ func TestChurnExperimentCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunCtx(ctx, "churn-repair", Quick()); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFig9Cancel: the Figure 9 sweep observes ctx inside every chain, so a
+// pre-cancelled run does no work and a run cancelled mid-sweep returns
+// ctx.Err() promptly instead of finishing the figure.
+func TestFig9Cancel(t *testing.T) {
+	r, err := Lookup("fig9a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := r.Run(ctx, Medium()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	if _, err := RunCtx(ctx, "fig9a", Medium()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("mid-run: err = %v, want context.Canceled", err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Fatalf("mid-run cancellation took %v", el)
 	}
 }

@@ -297,13 +297,16 @@ func (a *curveAccum) reduce(sizes []int) []Point {
 // every job runs under panicsafe.Do, so a panicking source job surfaces as
 // an ordinary error from the engine instead of killing the process.
 func runSourceWorkers(ctx context.Context, p Protocol, job func(si int) error) error {
-	return runWorkersN(ctx, p.EffectiveWorkers(), p.NSource, job)
+	return RunWorkersN(ctx, p.EffectiveWorkers(), p.NSource, job)
 }
 
-// runWorkersN is the worker pool behind runSourceWorkers, generalized to an
+// RunWorkersN is the worker pool behind runSourceWorkers, generalized to an
 // arbitrary job count so the partial (source-block) engines can fan out over
-// just their block. workers is clamped to nJobs.
-func runWorkersN(ctx context.Context, workers, nJobs int, job func(i int) error) error {
+// just their block and the affinity package can fan out its Figure 9 cells.
+// Jobs are dispatched in index order; workers is clamped to nJobs. Each job
+// runs under panicsafe.Do after a ctx check; the first failing worker's
+// error is returned, preferring a real failure over a cancellation error.
+func RunWorkersN(ctx context.Context, workers, nJobs int, job func(i int) error) error {
 	if workers > nJobs {
 		workers = nJobs
 	}

@@ -87,7 +87,7 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 		cuts = sizeCuts(sizes)
 		maxSize = cuts[len(cuts)-1].size
 	}
-	err = runWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
+	err = RunWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
 		si := srcLo + lane
 		if nested {
 			return measureSourceNested(ctx, g, sources[si], si, lane, cuts, maxSize, mode, p, bt, acc)
@@ -201,7 +201,7 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 	}
 	defer bt.release()
 	acc := newSharedAccum(nBlock, len(sizes))
-	err = runWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
+	err = RunWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
 		si := srcLo + lane
 		return measureSourceShared(ctx, g, sources[si], cores[si], si, lane, nBlock, sizes, p, bt, acc)
 	})
