@@ -74,6 +74,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -388,7 +389,10 @@ func writeMerged(g mtreescale.ClusterGrid, m *mtreescale.ClusterMerged, outDir s
 // eventPrinter renders coordinator progress notifications as one stderr
 // line each.
 func eventPrinter(errw io.Writer) func(mtreescale.ClusterEvent) {
+	var mu sync.Mutex // the coordinator calls OnEvent from its worker goroutines
 	return func(ev mtreescale.ClusterEvent) {
+		mu.Lock()
+		defer mu.Unlock()
 		switch ev.Kind {
 		case "resume":
 			fmt.Fprintf(errw, "mtctl: shard [%d,%d) resumed from journal\n", ev.Lo, ev.Hi)

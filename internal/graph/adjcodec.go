@@ -8,8 +8,7 @@ package graph
 //     can precede or follow v;
 //   - every subsequent neighbor is encoded as uvarint(neigh[i]-neigh[i-1]-1):
 //     lists are strictly ascending, so the gap is >= 1 and the -1 keeps
-//     consecutive runs (hub-heavy low-id blocks after degree relabeling) in
-//     the 1-byte range.
+//     consecutive runs of ids in the 1-byte range.
 //
 // On the paper's topologies this averages a little over one byte per
 // directed edge entry versus four for the flat CSR — the "roughly halves

@@ -48,11 +48,10 @@ func (g *Graph) BFS(source int) (*SPT, error) {
 // goroutines while being reused.
 //
 // Above directionOptThreshold nodes it routes to the direction-optimizing
-// kernel (hybrid.go); below it, to the reference queue BFS. Compressed
-// graphs route to the compressed kernel (cbfs.go) with the same threshold
-// picking its stepping mode. All kernels produce identical Dist arrays and
+// kernel (hybrid.go); below it, to the reference level-synchronous BFS. Both
+// kernels serve both adjacency layouts and produce identical Dist arrays and
 // identical canonical (lowest-index) Parent arrays; only the within-level
-// Order may differ between kernels.
+// Order may differ between them.
 func (g *Graph) BFSInto(source int, t *SPT) error {
 	n := g.N()
 	if source < 0 || source >= n {
@@ -71,9 +70,7 @@ func (g *Graph) BFSInto(source int, t *SPT) error {
 		t.Parent[i] = Unreachable
 		t.Dist[i] = Unreachable
 	}
-	if g.cadj != nil {
-		g.compressedBFSInto(source, t, n >= directionOptThreshold)
-	} else if n >= directionOptThreshold {
+	if n >= directionOptThreshold {
 		g.hybridBFSInto(source, t)
 	} else {
 		g.serialBFSInto(source, t)
@@ -91,18 +88,15 @@ func (g *Graph) BFSInto(source int, t *SPT) error {
 func (g *Graph) serialBFSInto(source int, t *SPT) {
 	n := g.N()
 	words := (n + 63) / 64
-	sc := bfsScratchPool.Get().(*bfsScratch)
-	if cap(sc.visited) < words {
-		sc.visited = make([]uint64, words)
-		sc.front = make([]uint64, words)
-	}
+	sc := getBFSScratch(g, words)
+	defer bfsScratchPool.Put(sc)
 	cur := sc.visited[:words]
 	next := sc.front[:words]
+	dec := sc.dec
 	for i := range next {
 		cur[i] = 0
 		next[i] = 0
 	}
-	defer bfsScratchPool.Put(sc)
 
 	t.Dist[source] = 0
 	t.Parent[source] = int32(source)
@@ -116,7 +110,7 @@ func (g *Graph) serialBFSInto(source int, t *SPT) {
 			for f != 0 {
 				u := int32(wi<<6 + bits.TrailingZeros64(f))
 				f &= f - 1
-				for _, w := range g.Neighbors(int(u)) {
+				for _, w := range g.NeighborsInto(int(u), dec) {
 					if t.Dist[w] == Unreachable {
 						t.Dist[w] = du + 1
 						t.Parent[w] = u

@@ -1,11 +1,65 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mtreescale/internal/rng"
+	"mtreescale/internal/valid"
 )
+
+// TestCanonicalParentFixture pins the canonical parent rule on a hand-built
+// graph whose nodes have tied previous-level neighbors: Parent[v] is the
+// lowest-index neighbor at distance Dist[v]-1. Each row runs through the
+// serial, hybrid and MS-BFS kernels on the flat and the compressed layout.
+func TestCanonicalParentFixture(t *testing.T) {
+	b := NewBuilder(9) // node 8 is isolated
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 4}, {2, 5}, {3, 5}, {3, 7}, {4, 6}, {5, 6}, {6, 7}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat := b.Build()
+	if _, err := flat.Compress(true); !valid.IsParam(err) {
+		t.Fatalf("Compress(true) error = %v, want a parameter error", err)
+	}
+	const x = Unreachable
+	tests := []struct {
+		source       int
+		dist, parent []int32
+	}{
+		{0, []int32{0, 1, 1, 1, 2, 2, 3, 2, x}, []int32{0, 0, 0, 0, 1, 2, 4, 3, x}},
+		{5, []int32{2, 3, 1, 1, 2, 0, 1, 2, x}, []int32{2, 0, 5, 5, 2, 5, 5, 3, x}},
+		{6, []int32{3, 2, 2, 2, 1, 1, 0, 1, x}, []int32{1, 4, 4, 5, 6, 6, 6, 6, x}},
+		{7, []int32{2, 3, 3, 1, 2, 2, 1, 0, x}, []int32{3, 0, 0, 7, 6, 3, 7, 7, x}},
+		{8, []int32{x, x, x, x, x, x, x, x, 0}, []int32{x, x, x, x, x, x, x, x, 8}},
+	}
+	sources := make([]int, len(tests))
+	for i, tt := range tests {
+		sources[i] = tt.source
+	}
+	for lname, g := range map[string]*Graph{"flat": flat, "compressed": mustCompress(t, flat)} {
+		batch, err := g.BatchSPTs(sources)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tt := range tests {
+			serial := kernelSPT(g, tt.source, (*Graph).serialBFSInto)
+			hybrid := kernelSPT(g, tt.source, (*Graph).hybridBFSInto)
+			for kname, rows := range map[string][2][]int32{
+				"serial": {serial.Dist, serial.Parent},
+				"hybrid": {hybrid.Dist, hybrid.Parent},
+				"msbfs":  {batch.DistRow(i), batch.ParentRow(i)},
+			} {
+				if !slices.Equal(rows[0], tt.dist) || !slices.Equal(rows[1], tt.parent) {
+					t.Errorf("%s/%s source %d: Dist %v Parent %v, want %v %v",
+						lname, kname, tt.source, rows[0], rows[1], tt.dist, tt.parent)
+				}
+			}
+		}
+	}
+}
 
 func TestBFSPath(t *testing.T) {
 	g := path(t, 6)

@@ -38,26 +38,32 @@ const (
 // directionOptThreshold is the node count above which BFSInto routes to the
 // direction-optimizing kernel. Below it the plain queue BFS wins: the bitset
 // bookkeeping costs more than it saves on graphs that fit in L1/L2.
-var directionOptThreshold = 2048
+const directionOptThreshold = 2048
 
-// SetDirectionOptThreshold overrides the node count at which BFSInto switches
-// to the direction-optimizing kernel and returns the previous value. It is a
-// tuning knob for benchmarks and a forcing lever for tests; production code
-// should leave the default. Not safe to call concurrently with running BFS.
-func SetDirectionOptThreshold(n int) int {
-	old := directionOptThreshold
-	directionOptThreshold = n
-	return old
-}
-
-// bfsScratch holds the kernel's bitsets between runs so steady-state
-// traversal allocates nothing.
+// bfsScratch holds the single-source kernels' bitsets and adjacency decode
+// buffer between runs so steady-state traversal allocates nothing.
 type bfsScratch struct {
 	visited []uint64
 	front   []uint64 // previous-level membership for bottom-up probes
+	dec     []int32  // compressed-layout decode buffer, cap >= g.maxDeg
 }
 
 var bfsScratchPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
+// getBFSScratch takes a pooled scratch sized for a words-word bitset and
+// g's decode width. The bitsets are returned dirty; callers zero what they
+// use and put the scratch back when done.
+func getBFSScratch(g *Graph, words int) *bfsScratch {
+	sc := bfsScratchPool.Get().(*bfsScratch)
+	if cap(sc.visited) < words {
+		sc.visited = make([]uint64, words)
+		sc.front = make([]uint64, words)
+	}
+	if cap(sc.dec) < int(g.maxDeg) {
+		sc.dec = make([]int32, g.maxDeg)
+	}
+	return sc
+}
 
 // hybridBFSInto runs the direction-optimizing kernel. The caller (BFSInto)
 // has already validated the source, sized Parent/Dist to N, filled both with
@@ -65,17 +71,14 @@ var bfsScratchPool = sync.Pool{New: func() any { return new(bfsScratch) }}
 func (g *Graph) hybridBFSInto(source int, t *SPT) {
 	n := g.N()
 	words := (n + 63) / 64
-	sc := bfsScratchPool.Get().(*bfsScratch)
-	if cap(sc.visited) < words {
-		sc.visited = make([]uint64, words)
-		sc.front = make([]uint64, words)
-	}
+	sc := getBFSScratch(g, words)
+	defer bfsScratchPool.Put(sc)
 	visited := sc.visited[:words]
 	front := sc.front[:words]
+	dec := sc.dec
 	for i := range visited {
 		visited[i] = 0
 	}
-	defer bfsScratchPool.Put(sc)
 
 	t.Dist[source] = 0
 	t.Parent[source] = int32(source)
@@ -87,7 +90,7 @@ func (g *Graph) hybridBFSInto(source int, t *SPT) {
 	// them.
 	levelStart, levelEnd := 0, 1
 	frontierEdges := int64(g.Degree(source))
-	unexploredEdges := int64(len(g.adj)) - frontierEdges
+	unexploredEdges := int64(g.offsets[n]) - frontierEdges
 	bottomUp := false
 	for dist := int32(1); levelStart < levelEnd; dist++ {
 		if !bottomUp {
@@ -121,7 +124,7 @@ func (g *Graph) hybridBFSInto(source int, t *SPT) {
 				for unv != 0 {
 					v := wi<<6 + bits.TrailingZeros64(unv)
 					unv &= unv - 1
-					for _, u := range g.Neighbors(v) {
+					for _, u := range g.NeighborsInto(v, dec) {
 						if front[u>>6]&(1<<(uint(u)&63)) != 0 {
 							t.Dist[v] = dist
 							t.Parent[v] = u
@@ -142,7 +145,7 @@ func (g *Graph) hybridBFSInto(source int, t *SPT) {
 			// settles on the lowest-index one.
 			for i := levelStart; i < levelEnd; i++ {
 				u := t.Order[i]
-				for _, w := range g.Neighbors(int(u)) {
+				for _, w := range g.NeighborsInto(int(u), dec) {
 					if visited[w>>6]&(1<<(uint(w)&63)) == 0 {
 						visited[w>>6] |= 1 << (uint(w) & 63)
 						t.Dist[w] = dist

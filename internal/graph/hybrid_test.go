@@ -1,16 +1,16 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"mtreescale/internal/rng"
 )
 
-// hybridSPT runs the direction-optimizing kernel directly, regardless of the
+// kernelSPT runs one single-source kernel directly, regardless of the
 // routing threshold, with the same slice preparation BFSInto performs.
-func hybridSPT(t testing.TB, g *Graph, source int) *SPT {
-	t.Helper()
+func kernelSPT(g *Graph, source int, kernel func(*Graph, int, *SPT)) *SPT {
 	spt := &SPT{
 		Source: source,
 		Parent: make([]int32, g.N()),
@@ -20,8 +20,14 @@ func hybridSPT(t testing.TB, g *Graph, source int) *SPT {
 		spt.Parent[i] = Unreachable
 		spt.Dist[i] = Unreachable
 	}
-	g.hybridBFSInto(source, spt)
+	kernel(g, source, spt)
 	return spt
+}
+
+// hybridSPT runs the direction-optimizing kernel directly.
+func hybridSPT(t testing.TB, g *Graph, source int) *SPT {
+	t.Helper()
+	return kernelSPT(g, source, (*Graph).hybridBFSInto)
 }
 
 // checkAgainstReference asserts the hybrid kernel's contract on one graph and
@@ -202,36 +208,25 @@ func TestHybridBFSDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestBFSIntoRoutesToHybridAboveThreshold(t *testing.T) {
-	old := SetDirectionOptThreshold(64)
-	defer SetDirectionOptThreshold(old)
-	g := randomGraph(7, 300, 900)
-	var routed SPT
-	if err := g.BFSInto(5, &routed); err != nil {
-		t.Fatal(err)
-	}
-	direct := hybridSPT(t, g, 5)
-	for v := 0; v < g.N(); v++ {
-		if routed.Dist[v] != direct.Dist[v] || routed.Parent[v] != direct.Parent[v] {
-			t.Fatalf("BFSInto above threshold must run the hybrid kernel (node %d)", v)
+	// Dist and Parent do not depend on the kernel, but the within-level
+	// Order does, so Order shows which kernel BFSInto ran.
+	for _, tc := range []struct {
+		n           int
+		want, other func(*Graph, int, *SPT)
+	}{
+		{directionOptThreshold, (*Graph).hybridBFSInto, (*Graph).serialBFSInto},
+		{directionOptThreshold - 1, (*Graph).serialBFSInto, (*Graph).hybridBFSInto},
+	} {
+		g := randomGraph(7, tc.n, 3*tc.n)
+		var routed SPT
+		if err := g.BFSInto(5, &routed); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// And below the threshold it must match the queue reference exactly,
-	// parents included.
-	SetDirectionOptThreshold(1 << 30)
-	var serial SPT
-	if err := g.BFSInto(5, &serial); err != nil {
-		t.Fatal(err)
-	}
-	ref := &SPT{Source: 5, Parent: make([]int32, g.N()), Dist: make([]int32, g.N())}
-	for i := range ref.Parent {
-		ref.Parent[i] = Unreachable
-		ref.Dist[i] = Unreachable
-	}
-	g.serialBFSInto(5, ref)
-	for v := 0; v < g.N(); v++ {
-		if serial.Dist[v] != ref.Dist[v] || serial.Parent[v] != ref.Parent[v] {
-			t.Fatalf("BFSInto below threshold must be the queue BFS (node %d)", v)
+		want, other := kernelSPT(g, 5, tc.want), kernelSPT(g, 5, tc.other)
+		if !slices.Equal(routed.Order, want.Order) || slices.Equal(routed.Order, other.Order) {
+			t.Fatalf("N=%d: BFSInto ran the wrong kernel", tc.n)
 		}
+		checkSPTEqual(t, "routed", want, &routed)
 	}
 }
 
@@ -246,14 +241,7 @@ func TestHybridBFSHugeLevels(t *testing.T) {
 	if err := g.BFSInto(0, &spt); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := func() (*SPT, error) {
-		old := SetDirectionOptThreshold(1 << 30)
-		defer SetDirectionOptThreshold(old)
-		return g.BFS(0)
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := kernelSPT(g, 0, (*Graph).serialBFSInto)
 	for v := 0; v < g.N(); v++ {
 		if spt.Dist[v] != ref.Dist[v] {
 			t.Fatalf("node %d: hybrid dist %d, reference %d", v, spt.Dist[v], ref.Dist[v])
@@ -271,14 +259,17 @@ func denseRandomGraph(seed int64, n, extra int) *Graph {
 // BenchmarkBFS50kSerial pins the reference queue BFS on the exact
 // BenchmarkBFS50k workload — the ablation pair for the ≥1.5× kernel claim.
 func BenchmarkBFS50kSerial(b *testing.B) {
-	g := randomGraph(1, 50000, 100000)
+	benchSerialBFS(b, randomGraph(1, 50000, 100000))
+}
+
+// benchSerialBFS times the reference kernel directly, bypassing BFSInto's
+// size routing.
+func benchSerialBFS(b *testing.B, g *Graph) {
 	spt := &SPT{Parent: make([]int32, g.N()), Dist: make([]int32, g.N())}
 	r := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := r.Intn(g.N())
-		spt.Parent = spt.Parent[:g.N()]
-		spt.Dist = spt.Dist[:g.N()]
 		spt.Order = spt.Order[:0]
 		spt.Source = src
 		for j := range spt.Parent {
@@ -305,15 +296,5 @@ func BenchmarkBFS50kDense(b *testing.B) {
 
 // BenchmarkBFS50kDenseSerial is the queue-BFS ablation of the dense workload.
 func BenchmarkBFS50kDenseSerial(b *testing.B) {
-	g := denseRandomGraph(3, 50000, 450000)
-	old := SetDirectionOptThreshold(1 << 30)
-	defer SetDirectionOptThreshold(old)
-	var spt SPT
-	r := rng.New(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.BFSInto(r.Intn(g.N()), &spt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSerialBFS(b, denseRandomGraph(3, 50000, 450000))
 }

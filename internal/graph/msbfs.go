@@ -149,11 +149,7 @@ func (g *Graph) BatchSPTsInto(sources []int, b *SPTBatch) error {
 		if end > len(sources) {
 			end = len(sources)
 		}
-		if g.cadj != nil {
-			g.cmsbfsGroup(sources[base:end], b.dist[base*n:end*n], b.parent[base*n:end*n], &b.sc)
-		} else {
-			g.msbfsGroup(sources[base:end], b.dist[base*n:end*n], b.parent[base*n:end*n], &b.sc)
-		}
+		g.msbfsGroup(sources[base:end], b.dist[base*n:end*n], b.parent[base*n:end*n], &b.sc)
 	}
 	return nil
 }
@@ -226,12 +222,13 @@ func (b *SPTBatch) Materialize(i int) *SPT {
 func (g *Graph) msbfsGroup(group []int, dist, parent []int32, sc *msbfsScratch) {
 	n := g.N()
 	words := (n + 63) / 64
-	sc.grow(n, words, 0)
+	sc.grow(n, words, int(g.maxDeg))
 	seen := sc.seen[:n]
 	visit := sc.visit[:n]
 	visitNext := sc.visitNext[:n]
 	front := sc.front[:words]
 	nextFront := sc.nextFront[:words]
+	dec := sc.dec
 	for i := range seen {
 		seen[i] = 0
 	}
@@ -265,7 +262,7 @@ func (g *Graph) msbfsGroup(group []int, dist, parent []int32, sc *msbfsScratch) 
 				v := wi<<6 + bits.TrailingZeros64(word)
 				mv := visit[v]
 				visit[v] = 0
-				for _, w := range g.Neighbors(v) {
+				for _, w := range g.NeighborsInto(v, dec) {
 					d := mv &^ seen[w]
 					if d == 0 {
 						continue

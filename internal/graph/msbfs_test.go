@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,12 +110,20 @@ func TestBatchSPTsDisconnected(t *testing.T) {
 }
 
 func TestBatchSPTsAboveHybridThreshold(t *testing.T) {
-	// Batch vs BFS equivalence must also hold where BFSInto routes to the
-	// direction-optimizing kernel.
-	old := SetDirectionOptThreshold(64)
-	defer SetDirectionOptThreshold(old)
+	// Batch rows must also equal the direction-optimizing kernel, which
+	// BFSInto routes to on larger graphs.
 	g := randomGraph(11, 500, 900)
-	checkBatchAgainstBFS(t, g, []int{0, 17, 401, 499, 17})
+	sources := []int{0, 17, 401, 499, 17}
+	b, err := g.BatchSPTs(sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sources {
+		want := hybridSPT(t, g, s)
+		if !slices.Equal(b.DistRow(i), want.Dist) || !slices.Equal(b.ParentRow(i), want.Parent) {
+			t.Fatalf("lane %d (source %d) differs from the hybrid kernel", i, s)
+		}
+	}
 }
 
 func TestBatchSPTsIntoReuse(t *testing.T) {
@@ -165,15 +174,21 @@ func TestBatchSPTsErrors(t *testing.T) {
 }
 
 // FuzzMSBFSEquivalence cross-checks the MS-BFS kernel against single-source
-// BFS on fuzzer-chosen graphs and source sets: every lane's distances and
-// parents must match exactly.
+// BFS on fuzzer-chosen graphs, source sets and adjacency layouts: every
+// lane's distances and parents, over the flat or the compressed layout, must
+// match flat BFS exactly.
 func FuzzMSBFSEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(30), uint8(40), []byte{0, 3, 9})
-	f.Add(int64(2), uint8(90), uint8(0), []byte{1})
-	f.Add(int64(3), uint8(200), uint8(255), []byte{0, 0, 5, 200, 63, 64, 65})
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, extraRaw uint8, srcBytes []byte) {
+	f.Add(int64(1), uint8(30), uint8(40), false, []byte{0, 3, 9})
+	f.Add(int64(2), uint8(90), uint8(0), true, []byte{1})
+	f.Add(int64(3), uint8(200), uint8(255), false, []byte{0, 0, 5, 200, 63, 64, 65})
+	f.Add(int64(3), uint8(200), uint8(255), true, []byte{0, 0, 5, 200, 63, 64, 65})
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, extraRaw uint8, compressed bool, srcBytes []byte) {
 		n := int(nRaw%200) + 2
 		g := randomGraph(seed, n, int(extraRaw))
+		lg := g
+		if compressed {
+			lg = mustCompress(t, g)
+		}
 		if len(srcBytes) == 0 {
 			srcBytes = []byte{0}
 		}
@@ -184,7 +199,7 @@ func FuzzMSBFSEquivalence(f *testing.F) {
 		for i, sb := range srcBytes {
 			sources[i] = int(sb) % n
 		}
-		b, err := g.BatchSPTs(sources)
+		b, err := lg.BatchSPTs(sources)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +227,10 @@ func FuzzMSBFSEquivalence(f *testing.F) {
 // BenchmarkBFS50k graph; BenchmarkBatchSPTs64Serial is the ablation running
 // the same 64 sources through the routed single-source kernel.
 func BenchmarkBatchSPTs64(b *testing.B) {
-	g := randomGraph(1, 50000, 100000)
+	benchBatch64(b, randomGraph(1, 50000, 100000))
+}
+
+func benchBatch64(b *testing.B, g *Graph) {
 	r := rng.New(2)
 	sources := make([]int, msbfsLanes)
 	for i := range sources {
@@ -248,34 +266,8 @@ func BenchmarkBatchSPTs64Serial(b *testing.B) {
 
 // BenchmarkBatchSPTs64Compressed is the storage ablation of
 // BenchmarkBatchSPTs64: the identical 64-source batch over the varint
-// compressed CSR (results byte-identical, adjacency decoded block-wise into
-// per-worker scratch); the Relabeled variant adds the degree-descending
-// cache-blocked vertex order on top.
+// compressed CSR (results byte-identical, adjacency decoded per vertex into
+// the kernel's scratch).
 func BenchmarkBatchSPTs64Compressed(b *testing.B) {
-	benchBatch64Layout(b, false)
-}
-
-func BenchmarkBatchSPTs64Relabeled(b *testing.B) {
-	benchBatch64Layout(b, true)
-}
-
-func benchBatch64Layout(b *testing.B, relabel bool) {
-	b.Helper()
-	g, err := randomGraph(1, 50000, 100000).Compress(relabel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := rng.New(2)
-	sources := make([]int, msbfsLanes)
-	for i := range sources {
-		sources[i] = r.Intn(g.N())
-	}
-	batch := AcquireSPTBatch()
-	defer ReleaseSPTBatch(batch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.BatchSPTsInto(sources, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBatch64(b, mustCompress(b, randomGraph(1, 50000, 100000)))
 }

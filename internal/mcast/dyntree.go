@@ -266,7 +266,7 @@ func (t *DynTree) graftBounded(r int32) int {
 // repairGraft runs the bounded variant's repair search: a BFS from r that
 // expands only off-tree nodes (saturated on-tree nodes are walls) and stops
 // at the first on-tree node with tree degree < cap. The frontier is FIFO
-// and neighbors are scanned in ascending original-id order, so the chosen
+// and neighbors are scanned in ascending id order, so the chosen
 // attachment is a pure function of the tree state — independent of worker
 // scheduling or map iteration. Interior nodes of the discovered path all
 // enter at degree 2, which the cap ≥ 2 invariant always permits.

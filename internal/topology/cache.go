@@ -74,9 +74,7 @@ func GenerateCached(name string, seed int64, scale float64) (*graph.Graph, error
 }
 
 // GenerateCachedOpt is GenerateCached with a layout choice: compress=true
-// memoizes the topology in the compressed CSR layout (graph.Compress without
-// relabeling — the degree relabeling is a traversal-locality lever that costs
-// 12 B/node and never shrinks the graph, so the memory mode skips it), keyed
+// memoizes the topology in the compressed CSR layout (graph.Compress), keyed
 // separately from the flat layout so the two never alias. Compression happens
 // inside the build singleflight, and the cache budget accounts the compressed
 // footprint — well under the flat graph's — so large-graph sweeps fit more
