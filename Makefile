@@ -28,7 +28,7 @@ test:
 race:
 	$(GO) test -race ./internal/graph/... ./internal/topology/... \
 		./internal/mcast/... ./internal/affinity/... ./internal/experiments/... ./internal/serve/... \
-		./internal/cluster/... ./internal/atomicio/... ./internal/chaos/... \
+		./internal/cluster/... ./internal/atomicio/... ./internal/chaos/... ./internal/retry/... \
 		./cmd/mtsim/... ./cmd/mtsimd/... ./cmd/mtctl/...
 
 # The robustness surface under contention: cancellation, panic isolation,
@@ -37,7 +37,7 @@ race:
 # hangs CI instead of passing silently.
 race-robust:
 	$(GO) test -race -timeout 5m \
-		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|Breaker|Backoff|TLS' \
+		-run 'Cancel|Panic|Recover|Resume|Checkpoint|HeapGuard|MaxHeap|Timeout|Register|Commit|WriteFile|Quarantine|Shed|Drain|Saturat|Degraded|SlowLoris|Restart|Eviction|Churn|Backs|Survives|RetryBudget|Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|Membership|Fence|Registry|Lease|Announce|Liveness|Backoff|TLS' \
 		./internal/mcast/... ./internal/affinity/... ./internal/experiments/... ./internal/panicsafe/... \
 		./internal/atomicio/... ./internal/serve/... ./internal/graph/... \
 		./internal/cluster/... ./internal/chaos/... \
@@ -129,15 +129,15 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # The chaos soak: the fault-injection suite (failpoint schedules, integrity
-# checksums, heartbeat eviction, speculation, journal tail repair, shard
-# auth) under the race detector, the disabled-failpoint overhead benchmark
-# (one atomic load — see internal/chaos/bench_test.go), then the end-to-end
-# script: real daemons under chaos schedules with a worker kill, a torn
-# journal resume, and a seed-determinism replay, every phase byte-compared
-# against the single-process golden.
+# checksums, heartbeat eviction and the liveness table, speculation, journal
+# tail repair, shard auth) under the race detector, the disabled-failpoint
+# overhead benchmark (one atomic load — see internal/chaos/bench_test.go),
+# then the end-to-end script: real daemons under chaos schedules with a
+# worker kill, a torn journal resume, and a seed-determinism replay, every
+# phase byte-compared against the single-process golden.
 chaos-smoke:
 	$(GO) test -race -timeout 5m \
-		-run 'Chaos|Heartbeat|Specul|Integrity|Torn|Tail|Auth|SealVerify|JournalResume' \
+		-run 'Chaos|Heartbeat|Liveness|Specul|Integrity|Torn|Tail|Auth|SealVerify|JournalResume' \
 		./internal/chaos/... ./internal/cluster/... ./internal/atomicio/... \
 		./internal/serve/... ./cmd/mtsimd/...
 	$(GO) test -run '^$$' -bench 'BenchmarkChaosDisabled$$' -benchmem -count 1 ./internal/chaos/

@@ -13,13 +13,18 @@
 //	mtctl -workers ... -out run1/ -resume         # journal + crash resume
 //	mtctl -bench BENCH_7.json                     # committed cluster bench
 //
-// Failure semantics, in one place:
+// Failure semantics, in one place. The coordinator keeps one liveness
+// model per run: every worker is healthy, suspect or evicted, and a
+// dynamic worker whose lease expires is retired.
 //
 //   - 429 from a worker is backpressure, not failure: the slot honors
 //     Retry-After (or -backoff) and the shard re-enters the pool, costing
-//     no retry budget and no quarantine strike.
-//   - Transport errors and 5xx quarantine the worker (exponential backoff)
-//     and re-queue the shard elsewhere, up to -retries times per shard.
+//     no retry budget and no strike.
+//   - Transport errors, 5xx and bad checksums strike the worker and re-queue
+//     the shard elsewhere, up to -retries times per shard. A struck worker
+//     is suspect, and gets no shards ("quarantine" in the log), for 1s,
+//     2s, 4s … (capped at 30s) by its count of strikes since its last
+//     completed shard.
 //   - 4xx other than 429 means the grid itself is bad: fail fast.
 //   - With -out, every completed partial is fsynced to
 //     <out>/checkpoint.jsonl; -resume replays journal entries whose grid
@@ -33,7 +38,9 @@
 //     a corrupted payload is a retryable worker failure, never a merged lie.
 //   - -heartbeat probes each worker's GET /healthz; after -heartbeat-fails
 //     consecutive failures the worker is evicted (no new shards) until a
-//     probe succeeds again.
+//     probe succeeds again — time alone never readmits it. Eviction and
+//     strikes are independent: a good probe does not clear strikes, and a
+//     good shard does not end an eviction.
 //   - -speculate N dispatches a backup copy of any shard in flight longer
 //     than N times the rolling mean shard latency (floor -spec-min); the
 //     first valid result wins, the loser is discarded.
@@ -44,9 +51,11 @@
 //     announce themselves to (mtsimd -announce), and -discover polls a
 //     worker address file. Announced workers hold a -lease-ttl lease that
 //     every successful heartbeat renews; a worker whose lease expires is
-//     retired — its in-flight shards requeue without costing retry budget —
-//     and may rejoin later by announcing again. The classic -workers list
-//     is static membership: those workers are never retired, only evicted.
+//     retired — its in-flight shards requeue without costing retry budget
+//     or a strike — and may rejoin later by announcing again. Only the
+//     heartbeat sweeps leases, so -discover and -register-addr require
+//     -heartbeat > 0. The classic -workers list is static membership: those
+//     workers are never retired, only evicted.
 //   - With -out, the journal is epoch-fenced: each coordinator claims the
 //     next epoch on open, so a replacement coordinator resuming a dead
 //     one's run fences the original — if the "dead" coordinator was merely
@@ -132,7 +141,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		tlsKey           = fs.String("tls-key", "", "PEM private key for -tls-cert")
 		leaseTTL         = fs.Duration("lease-ttl", 0, "membership lease for announced workers; a lease no heartbeat or announcement renews retires the worker (0 = 15s)")
 
-		heartbeat = fs.Duration("heartbeat", 5*time.Second, "worker liveness probe interval; evicted workers stop receiving shards until a probe succeeds (0 disables)")
+		heartbeat = fs.Duration("heartbeat", 5*time.Second, "worker liveness probe interval; evicted workers stop receiving shards until a probe succeeds (0 disables; -discover and -register-addr need it)")
 		hbFails   = fs.Int("heartbeat-fails", 3, "consecutive heartbeat failures before a worker is evicted")
 		speculate = fs.Float64("speculate", 0, "straggler threshold as a multiple of the rolling mean shard latency; past it a backup copy is dispatched (0 disables)")
 		specMin   = fs.Duration("spec-min", time.Second, "floor on the speculation deadline, so short shards are never speculated on noise")
@@ -206,7 +215,6 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 			HeartbeatFails: *hbFails,
 			SpecFactor:     *speculate,
 			SpecMin:        *specMin,
-			LeaseTTL:       *leaseTTL,
 			OnEvent:        eventPrinter(errw),
 		}
 		if *tlsCA != "" {
@@ -219,7 +227,12 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		// Dynamic membership: a shared registry lets the discover poller
 		// and/or the registrar endpoint admit workers while the run is in
 		// flight; the classic -workers list enters it as static members.
+		// Only the heartbeat loop sweeps expired leases, so without it a
+		// dead dynamic worker would never be retired.
 		if *discover != "" || *registerAddr != "" {
+			if *heartbeat <= 0 {
+				return fmt.Errorf("-discover and -register-addr need -heartbeat > 0 to retire dead workers: %w", mtreescale.ErrInvalidParam)
+			}
 			opt.Registry = mtreescale.NewClusterRegistry(*leaseTTL, nil)
 		}
 		if *outDir != "" {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +53,24 @@ func TestBadGridFlags(t *testing.T) {
 	} {
 		if _, _, err := ctl(t, bad...); err == nil {
 			t.Fatalf("flags %v: expected error", bad)
+		}
+	}
+}
+
+// TestDynamicMembershipNeedsHeartbeat: only the heartbeat loop sweeps
+// expired leases, so dynamic membership with -heartbeat 0 would never retire
+// a dead worker; runCtl rejects the combination as a parameter error before
+// it listens or dispatches anything.
+func TestDynamicMembershipNeedsHeartbeat(t *testing.T) {
+	discover := filepath.Join(t.TempDir(), "workers.txt")
+	for _, bad := range [][]string{
+		{"-heartbeat", "0", "-discover", discover},
+		{"-heartbeat", "0", "-register-addr", "127.0.0.1:0"},
+		{"-heartbeat", "0", "-workers", "http://127.0.0.1:1", "-discover", discover},
+	} {
+		_, _, err := ctl(t, append(bad, smallGrid...)...)
+		if !errors.Is(err, mtreescale.ErrInvalidParam) || !strings.Contains(err.Error(), "-heartbeat") {
+			t.Fatalf("flags %v: err = %v, want a -heartbeat parameter error", bad, err)
 		}
 	}
 }

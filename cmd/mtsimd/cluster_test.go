@@ -175,10 +175,9 @@ func TestClusterSurvivesDaemonKillMidRun(t *testing.T) {
 	coord, err := mtreescale.NewClusterCoordinator(
 		[]string{tsA.URL, tsB.URL},
 		mtreescale.ClusterOptions{
-			Retries:    4,
-			Backoff:    time.Millisecond,
-			Quarantine: mtreescale.NewQuarantine(time.Millisecond, 2*time.Millisecond),
-			OnEvent:    kill,
+			Retries: 4,
+			Backoff: time.Millisecond,
+			OnEvent: kill,
 		})
 	if err != nil {
 		t.Fatal(err)

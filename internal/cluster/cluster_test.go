@@ -162,7 +162,10 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer victim.Close()
-	survivor, err := StartStubWorker("survivor", 0, nil)
+	// The survivor's 10ms per shard keeps it from draining all seven shards
+	// before the victim completes its first one, which would leave nothing
+	// to kill.
+	survivor, err := StartStubWorker("survivor", 10*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +201,7 @@ func TestCoordinatorSurvivesWorkerDeath(t *testing.T) {
 
 // TestCoordinatorBacksOffOn429 verifies a saturated worker is backpressure,
 // not failure: the coordinator honors Retry-After, retries, and the shard
-// succeeds without striking the worker's quarantine.
+// succeeds without striking the worker in the liveness table.
 func TestCoordinatorBacksOffOn429(t *testing.T) {
 	g := testGrid(KindCurve)
 	want, err := RunLocal(nil, g)
@@ -229,18 +232,25 @@ func TestCoordinatorBacksOffOn429(t *testing.T) {
 	defer srv.Close()
 
 	var sleeps []time.Duration
-	quar := serve.NewQuarantine(time.Second, 30*time.Second)
+	var struck []int
+	// Heartbeat is off, so the table never evicts. Sleeps pass on its fake
+	// clock, so even a wrongly struck worker's window would elapse.
+	clk := newFakeClock()
+	live := newTestLiveness(clk, 0, nil)
 	co, err := New([]string{srv.URL}, Options{
-		Quarantine: quar,
 		Sleep: func(ctx context.Context, d time.Duration) error {
-			sleeps = append(sleeps, d) // single worker, Inflight 1: no races
+			// single worker, Inflight 1: no races. Every sleep here follows
+			// a 429 that the table has already settled.
+			sleeps = append(sleeps, d)
+			struck = append(struck, live.strikesOf(srv.URL))
+			clk.advance(d)
 			return ctx.Err()
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := co.Run(nil, g, 2)
+	got, stats, err := co.run(nil, g, 2, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +263,10 @@ func TestCoordinatorBacksOffOn429(t *testing.T) {
 	if stats.Requeues != 0 {
 		t.Fatalf("429 counted as failure: Requeues = %d", stats.Requeues)
 	}
-	if quar.Len() != 0 {
-		t.Fatalf("429 struck quarantine: %v", quar.Snapshot())
+	for i, n := range struck {
+		if n != 0 {
+			t.Fatalf("429 struck the worker: %d strikes at sleep %d (%v)", n, i, sleeps)
+		}
 	}
 	found := false
 	for _, d := range sleeps {
@@ -374,17 +386,37 @@ func TestCoordinatorFailsAfterRetryBudget(t *testing.T) {
 		serve.WriteJSONError(w, http.StatusInternalServerError, "boom", 0)
 	}))
 	defer srv.Close()
-	quar := serve.NewQuarantine(time.Nanosecond, time.Nanosecond)
-	co, err := New([]string{srv.URL}, Options{Retries: 2, Quarantine: quar, Sleep: instant})
+	// The requeue pauses and the 1s and 2s suspect windows pass on the
+	// fake clock, not in real time.
+	clk := newFakeClock()
+	var waits []time.Duration // single worker, Inflight 1: no races
+	co, err := New([]string{srv.URL}, Options{
+		Retries: 2,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			clk.advance(d)
+			return ctx.Err()
+		},
+		OnEvent: func(ev Event) {
+			if ev.Kind == "quarantine" {
+				waits = append(waits, ev.RetryIn)
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = co.Run(nil, testGrid(KindCurve), 1)
+	_, _, err = co.run(nil, testGrid(KindCurve), 1, newTestLiveness(clk, 0, nil))
 	if err == nil {
 		t.Fatal("want error")
 	}
 	if n := hits.Load(); n != 3 {
 		t.Fatalf("hit worker %d times, want 3 (1 + 2 retries)", n)
+	}
+	// Each of the first two strikes leaves a 1s, then 2s, suspect window,
+	// less the requeue pause already slept; the third exhausts the budget.
+	if len(waits) != 2 || waits[0] <= 750*time.Millisecond || waits[0] > time.Second ||
+		waits[1] <= 1500*time.Millisecond || waits[1] > 2*time.Second {
+		t.Fatalf("quarantine waits %v, want one in (0.75s, 1s] then one in (1.5s, 2s]", waits)
 	}
 }
 

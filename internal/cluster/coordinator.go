@@ -15,7 +15,6 @@ import (
 	"mtreescale/internal/atomicio"
 	"mtreescale/internal/chaos"
 	"mtreescale/internal/retry"
-	"mtreescale/internal/serve"
 	"mtreescale/internal/valid"
 )
 
@@ -26,7 +25,7 @@ const ShardPath = "/shard"
 // "resume" (shard satisfied from the journal), "complete" (worker returned
 // a partial), "backoff" (worker answered 429; the slot pauses RetryIn),
 // "requeue" (worker failed; the shard goes back to the pool),
-// "quarantine" (a worker slot is skipping a quarantined worker),
+// "quarantine" (a worker slot waits out a suspect worker's window),
 // "evict" / "readmit" (heartbeat verdicts on a worker),
 // "join" / "leave" (registry membership transitions: a worker announced
 // itself or its lease expired),
@@ -116,12 +115,6 @@ type Options struct {
 	// are renewed by successful heartbeat probes, so dynamic membership
 	// needs Heartbeat > 0 to retire silent workers.
 	Registry *Registry
-	// LeaseTTL sets the private registry's lease length when Registry is
-	// nil (default DefaultLeaseTTL); ignored otherwise.
-	LeaseTTL time.Duration
-	// Quarantine tracks failing workers with exponential backoff; nil
-	// means a default (1s base, 30s cap). Worker URLs are the keys.
-	Quarantine *serve.Quarantine
 	// Token, when set, is sent as "Authorization: Bearer <token>" on every
 	// shard post and heartbeat probe (mtsimd -shard-token).
 	Token string
@@ -196,9 +189,6 @@ func New(workers []string, opt Options) (*Coordinator, error) {
 	if opt.BackoffMax <= 0 {
 		opt.BackoffMax = 10 * opt.Backoff
 	}
-	if opt.Quarantine == nil {
-		opt.Quarantine = serve.NewQuarantine(time.Second, 30*time.Second)
-	}
 	if opt.Sleep == nil {
 		opt.Sleep = sleepCtx
 	}
@@ -216,10 +206,9 @@ func New(workers []string, opt Options) (*Coordinator, error) {
 	}
 	reg := opt.Registry
 	if reg == nil {
-		reg = NewRegistry(opt.LeaseTTL, workers)
-	} else {
-		reg.AddStatic(workers...)
+		reg = NewRegistry(0, nil) // only static members: the TTL never applies
 	}
+	reg.AddStatic(workers...)
 	return &Coordinator{
 		reg: reg,
 		opt: opt,
@@ -271,8 +260,8 @@ type runState struct {
 	latN       int            // speculation deadline's rolling mean
 	fatal      error
 	stats      Stats
-	health     *healthTracker // nil when heartbeating is off
-	done       chan struct{}  // closed when remaining hits 0
+	live       *liveness
+	done       chan struct{} // closed when remaining hits 0
 	cancel     context.CancelFunc
 }
 
@@ -330,6 +319,13 @@ func (st *runState) recordLatency(d time.Duration) {
 	st.latN++
 }
 
+// bump increments one of st.stats's counters.
+func (st *runState) bump(n *int) {
+	st.mu.Lock()
+	*n++
+	st.mu.Unlock()
+}
+
 func (st *runState) fail(err error) {
 	st.mu.Lock()
 	if st.fatal == nil {
@@ -343,6 +339,15 @@ func (st *runState) fail(err error) {
 // workers, and merges the partials. On return with a nil error the Merged
 // result is byte-identical to RunLocal's for the same grid.
 func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *Stats, error) {
+	live := &liveness{now: time.Now, emit: c.emit, workers: map[string]*workerLive{}}
+	if c.opt.Heartbeat > 0 {
+		live.evictAt = c.opt.HeartbeatFails
+	}
+	return c.run(ctx, g, nShards, live)
+}
+
+// run is Run over a given liveness table; tests pass one on a fake clock.
+func (c *Coordinator) run(ctx context.Context, g Grid, nShards int, live *liveness) (*Merged, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -356,6 +361,7 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 		parts:      make([]*Partial, len(plan)),
 		speculated: make([]bool, len(plan)),
 		inflight:   map[int]flight{},
+		live:       live,
 		done:       make(chan struct{}),
 		stats:      Stats{Planned: len(plan), PerWorker: map[string]int{}},
 	}
@@ -448,7 +454,6 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 		}()
 
 		if c.opt.Heartbeat > 0 {
-			st.health = newHealthTracker(c.opt.HeartbeatFails)
 			// One synchronous round first, so a worker that is already dead
 			// never receives the opening dispatch wave.
 			for i := 0; i < c.opt.HeartbeatFails; i++ {
@@ -520,15 +525,11 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 		unwatch := c.reg.Watch(func(ev MemberEvent) {
 			switch ev.Kind {
 			case "join":
-				st.mu.Lock()
-				st.stats.Joins++
-				st.mu.Unlock()
+				st.bump(&st.stats.Joins)
 				c.emit(Event{Kind: "join", Worker: ev.Worker})
 				startWorker(ev.Worker)
 			case "leave":
-				st.mu.Lock()
-				st.stats.Leaves++
-				st.mu.Unlock()
+				st.bump(&st.stats.Leaves)
 				c.emit(Event{Kind: "leave", Worker: ev.Worker})
 				stopWorker(ev.Worker)
 			}
@@ -548,6 +549,9 @@ func (c *Coordinator) Run(ctx context.Context, g Grid, nShards int) (*Merged, *S
 	parts := st.parts
 	remaining := st.remaining
 	st.mu.Unlock()
+	live.mu.Lock()
+	stats.Evictions, stats.Readmissions = live.evictions, live.readmissions
+	live.mu.Unlock()
 	if fatal != nil {
 		return nil, &stats, fatal
 	}
@@ -589,22 +593,21 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			continue
 		}
 
-		// An evicted worker's slots park: hand the shard back and wait out a
-		// heartbeat interval, since only a successful probe can re-admit.
-		// The park is a real timer, never Options.Sleep — an instant test
-		// sleep would turn parked slots into hot spins that starve the very
-		// probes that could re-admit the worker.
-		if st.health != nil && !st.health.allowed(worker) {
+		switch state, retryIn := st.live.state(worker); state {
+		case evicted:
+			// Park: hand the shard back and wait out a heartbeat interval,
+			// since only a successful probe can re-admit. The park is a real
+			// timer, never Options.Sleep — an instant test sleep would turn
+			// parked slots into hot spins that starve the very probes that
+			// could re-admit the worker.
 			pool <- idx
 			if sleepCtx(ctx, c.opt.Heartbeat) != nil {
 				return
 			}
 			continue
-		}
-
-		// A quarantined worker hands the shard back and pauses this slot so
-		// healthy workers drain the pool meanwhile.
-		if ok, retryIn := c.opt.Quarantine.Allowed(worker); !ok {
+		case suspect:
+			// Hand the shard back and pause this slot so healthy workers
+			// drain the pool meanwhile.
 			pool <- idx
 			c.emit(Event{Kind: "quarantine", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, RetryIn: retryIn})
 			if c.opt.Sleep(ctx, retryIn) != nil {
@@ -613,16 +616,15 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			continue
 		}
 
-		st.mu.Lock()
-		st.stats.Attempts++
-		st.mu.Unlock()
+		st.bump(&st.stats.Attempts)
 		st.markDispatch(idx, worker)
 
 		start := time.Now()
 		p, retryAfter, err := c.postShard(ctx, worker, spec)
-		switch {
-		case err == nil:
-			c.opt.Quarantine.Clear(worker)
+		oc := c.classify(st, idx, worker, err)
+		st.live.settle(worker, oc)
+		switch oc {
+		case shardOK:
 			st.recordLatency(time.Since(start))
 			if st.complete(idx, p, worker) {
 				// Journal only the accepted result: the race loser's partial
@@ -642,44 +644,31 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 				c.emit(Event{Kind: "complete", Worker: worker, Lo: spec.Lo, Hi: spec.Hi})
 			}
 
-		case errors.Is(err, errSaturated):
+		case shardBackpressure:
 			// Backpressure, not failure: hold the shard, pause this slot for
 			// the worker's advertised Retry-After, then hand the shard back
 			// for whichever slot frees first.
-			st.mu.Lock()
-			st.stats.Backoffs429++
-			st.mu.Unlock()
+			st.bump(&st.stats.Backoffs429)
 			c.emit(Event{Kind: "backoff", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, RetryIn: retryAfter})
 			if c.opt.Sleep(ctx, retryAfter) != nil {
 				return
 			}
 			pool <- idx
 
-		case valid.IsParam(err):
+		case shardBadGrid:
 			// The grid itself is bad; no worker will ever accept it.
 			st.fail(err)
 			return
 
-		default:
-			// A speculation loser failing after the winner landed — its post
-			// aborted by the done-watcher's cancel, typically — is not a
-			// shard failure: no strike, no retry budget, no requeue.
-			if st.isComplete(idx) {
-				continue
-			}
-			// A worker retired mid-flight (lease expired, slots cancelled)
-			// did not fail the shard — the membership changed under it.
-			// Requeue with no strike and no retry budget burned, and let
-			// the slot die with its worker.
-			if !c.reg.Active(worker) {
-				st.mu.Lock()
-				st.stats.Requeues++
-				st.mu.Unlock()
-				pool <- idx
-				c.emit(Event{Kind: "requeue", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, Err: err})
-				return
-			}
-			c.opt.Quarantine.Report(worker, err)
+		case shardRetired:
+			// Requeue with no retry budget burned, and let the slot die
+			// with its worker.
+			st.bump(&st.stats.Requeues)
+			pool <- idx
+			c.emit(Event{Kind: "requeue", Worker: worker, Lo: spec.Lo, Hi: spec.Hi, Err: err})
+			return
+
+		case shardFailed:
 			st.mu.Lock()
 			st.failures[idx]++
 			tries := st.failures[idx]
@@ -698,6 +687,28 @@ func (c *Coordinator) workerLoop(ctx context.Context, worker string, plan []Shar
 			}
 		}
 	}
+}
+
+// classify sorts one postShard result on shard idx into an outcome.
+func (c *Coordinator) classify(st *runState, idx int, worker string, err error) outcome {
+	switch {
+	case err == nil:
+		return shardOK
+	case errors.Is(err, errSaturated):
+		return shardBackpressure
+	case valid.IsParam(err):
+		return shardBadGrid
+	case st.isComplete(idx):
+		// A speculation loser failing after the winner landed — its post
+		// aborted by the done-watcher's cancel, typically — is not a shard
+		// failure: no strike, no retry budget, no requeue.
+		return shardStale
+	case !c.reg.Active(worker):
+		// A worker retired mid-flight (lease expired, slots cancelled) did
+		// not fail the shard — the membership changed under it.
+		return shardRetired
+	}
+	return shardFailed
 }
 
 // speculator watches in-flight shards and re-queues any that has been flying
@@ -725,21 +736,13 @@ func (c *Coordinator) speculator(ctx context.Context, plan []ShardSpec, pool cha
 		now := time.Now()
 		// A backup copy needs somewhere useful to land: a live member that
 		// is not the straggler itself and not evicted. Snapshot eligibility
-		// outside st.mu (the registry and health tracker have their own
+		// outside st.mu (the registry and liveness table have their own
 		// locks), then decide per straggler under it.
-		var eligible []string
+		eligible := map[string]bool{}
 		for _, w := range c.reg.Members() {
-			if c.reg.Active(w) && (st.health == nil || st.health.allowed(w)) {
-				eligible = append(eligible, w)
+			if state, _ := st.live.state(w); c.reg.Active(w) && state != evicted {
+				eligible[w] = true
 			}
-		}
-		hasAlternative := func(straggler string) bool {
-			for _, w := range eligible {
-				if w != straggler {
-					return true
-				}
-			}
-			return false
 		}
 		st.mu.Lock()
 		deadline := c.opt.SpecMin
@@ -748,8 +751,7 @@ func (c *Coordinator) speculator(ctx context.Context, plan []ShardSpec, pool cha
 				deadline = est
 			}
 		}
-		var fire []flight
-		var fireIdx []int
+		fire := map[int]string{} // shard idx -> straggling worker
 		for idx, f := range st.inflight {
 			if st.parts[idx] != nil || st.speculated[idx] || now.Sub(f.t0) <= deadline {
 				continue
@@ -758,18 +760,17 @@ func (c *Coordinator) speculator(ctx context.Context, plan []ShardSpec, pool cha
 			// speculative copy (don't burn st.speculated) until a worker
 			// joins, recovers or is readmitted — dispatching the backup to
 			// an evicted or lease-expired worker would waste it.
-			if !hasAlternative(f.worker) {
+			if len(eligible) == 0 || len(eligible) == 1 && eligible[f.worker] {
 				continue
 			}
 			st.speculated[idx] = true
 			st.stats.Speculations++
-			fireIdx = append(fireIdx, idx)
-			fire = append(fire, f)
+			fire[idx] = f.worker
 		}
 		st.mu.Unlock()
-		for i, idx := range fireIdx {
+		for idx, worker := range fire {
 			spec := plan[idx]
-			c.emit(Event{Kind: "speculate", Worker: fire[i].worker, Lo: spec.Lo, Hi: spec.Hi})
+			c.emit(Event{Kind: "speculate", Worker: worker, Lo: spec.Lo, Hi: spec.Hi})
 			select {
 			case pool <- idx:
 			case <-ctx.Done():

@@ -36,9 +36,9 @@ type MemberEvent struct {
 // polling — and stay members while their TTL lease keeps being renewed;
 // the coordinator's /healthz heartbeats renew the lease of every worker
 // that answers, so a worker that stops answering ages out and is retired.
-// Static members (the classic -workers list) hold permanent leases: they
-// can be evicted by the health tracker but never retired by the sweep, so
-// a fixed fleet behaves exactly as it did before registries existed.
+// Static members (the classic -workers list) hold permanent leases: a
+// coordinator's liveness table can evict them, but the sweep never retires
+// them, so a fixed fleet behaves exactly as it did before registries existed.
 //
 // All methods are safe for concurrent use. Watchers are invoked
 // synchronously, outside the registry lock, in the goroutine that caused
@@ -73,9 +73,7 @@ func NewRegistry(ttl time.Duration, static []string) *Registry {
 		members:  map[string]*member{},
 		watchers: map[int]func(MemberEvent){},
 	}
-	for _, w := range static {
-		r.members[w] = &member{static: true}
-	}
+	r.AddStatic(static...)
 	return r
 }
 
