@@ -11,11 +11,16 @@ all: build vet test
 # (1M-node streamed build + memory-model assertion + one curve point).
 check: build vet test race large-smoke
 
+# perfbench is a module of its own, so ./... skips it; build and vet it
+# explicitly so an API change that breaks the benchmark harness fails here.
+# -o /dev/null keeps the harness binary out of perfbench/.
 build:
 	$(GO) build ./...
+	$(GO) -C perfbench build -o /dev/null ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 test:
 	$(GO) test ./...
@@ -58,7 +63,7 @@ BENCH_JSON ?= BENCH_6.json
 # `make bench-large` records the same doc with the large points filled in.
 bench:
 	{ $(GO) test -run '^$$' \
-		-bench 'BenchmarkMeasureCurve$$|BenchmarkMeasureCurveNested$$|BenchmarkMeasureCurveNestedCompressed$$|BenchmarkMeasureCurveNestedSerialBFS$$|BenchmarkMeasureCurveCached$$|BenchmarkMeasureSharedCurve$$' \
+		-bench 'BenchmarkMeasureCurve$$|BenchmarkMeasureCurveNested$$|BenchmarkMeasureCurveNestedCompressed$$|BenchmarkMeasureCurveCached$$|BenchmarkMeasureSharedCurve$$' \
 		-benchmem -count 1 . ; \
 	  $(GO) test -run '^$$' \
 		-bench 'BenchmarkBFS50k$$|BenchmarkBFS50kSerial$$|BenchmarkBFS50kDense$$|BenchmarkBFS50kDenseSerial$$|BenchmarkBatchSPTs64$$|BenchmarkBatchSPTs64Serial$$|BenchmarkBatchSPTs64Compressed$$' \

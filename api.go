@@ -136,8 +136,8 @@ type SPTBatch = graph.SPTBatch
 
 // BatchSPTs computes the shortest-path trees of all sources through the
 // MS-BFS kernel, up to 64 sources per graph traversal. Each tree is
-// node-for-node identical to BFS(source). The measurement engines use this
-// kernel whenever Protocol.BatchBFS is set.
+// node-for-node identical to BFS(source). The measurement engines resolve
+// every sweep's source trees through this kernel.
 func BatchSPTs(g *Topology, sources []int) (*SPTBatch, error) { return g.BatchSPTs(sources) }
 
 // GNP generates an Erdős–Rényi G(n,p) graph's giant component.
@@ -208,6 +208,8 @@ func HomogeneousRandom(n int, avgDegree float64, seed int64) (*Topology, error) 
 type Protocol = mcast.Protocol
 
 // DefaultProtocol returns the paper's 100×100 protocol with the given seed.
+// Its source trees live in one pooled MS-BFS slab per sweep; set SPTCache to
+// reuse them across sweeps on the same graph.
 func DefaultProtocol(seed int64) Protocol { return mcast.DefaultProtocol(seed) }
 
 // Point is one aggregated tree-size observation.
@@ -617,8 +619,9 @@ const CheckpointFile = experiments.CheckpointFile
 // that produced it by ProfileKey.
 type CheckpointRecord = experiments.CheckpointRecord
 
-// ProfileKey fingerprints a profile; (key, id) identifies a deterministic
-// experiment result exactly.
+// ProfileKey fingerprints the result-determining fields of a profile (not
+// Name or LargeGraph); (key, id) identifies a deterministic experiment
+// result exactly.
 func ProfileKey(p Profile) string { return experiments.ProfileKey(p) }
 
 // ParseCheckpointLine decodes one journal line, rejecting torn or incomplete

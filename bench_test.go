@@ -109,7 +109,7 @@ func BenchmarkMeasureCurve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func BenchmarkMeasureCurveNested(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureCurveNested(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,26 +144,6 @@ func BenchmarkMeasureCurveNestedCompressed(b *testing.B) {
 		b.Fatal(err)
 	}
 	if g, err = g.Compress(false); err != nil {
-		b.Fatal(err)
-	}
-	sizes := mtreescale.LogSpacedSizes(500, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mtreescale.MeasureCurveNested(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMeasureCurveNestedSerialBFS is the kernel ablation of
-// BenchmarkMeasureCurveNested: the identical workload with the batch
-// MS-BFS scheduling path disabled, so source trees come from per-source
-// single-source BFS. Results are byte-identical; only the tree-resolution
-// cost differs.
-func BenchmarkMeasureCurveNestedSerialBFS(b *testing.B) {
-	g, err := mtreescale.TransitStubSized(1000, 3.6, 1)
-	if err != nil {
 		b.Fatal(err)
 	}
 	sizes := mtreescale.LogSpacedSizes(500, 16)
@@ -188,7 +168,7 @@ func BenchmarkMeasureSharedCurve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureSharedCurve(g, sizes, mtreescale.CoreRandom,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i), BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -209,7 +189,7 @@ func BenchmarkMeasureCurveCached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct,
-			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: 1, SPTCache: true, BatchBFS: true}); err != nil {
+			mtreescale.Protocol{NSource: 10, NRcvr: 10, Seed: 1, SPTCache: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

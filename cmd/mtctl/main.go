@@ -122,8 +122,6 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 		mode     = fs.String("mode", "distinct", "receiver draw mode: distinct|replacement")
 		strategy = fs.String("strategy", "center", "shared-tree core placement: random|source|center")
 		nested   = fs.Bool("nested", false, "route curve grids through the incremental nested-growth engine")
-		batchbfs = fs.Bool("batchbfs", true, "resolve source trees through the multi-source BFS batch kernel")
-		sptcache = fs.Bool("sptcache", true, "reuse shortest-path trees via the process-wide SPT cache")
 		large    = fs.Bool("compress", false, "hold topologies in the compressed CSR layout")
 
 		shards     = fs.Int("shards", 0, "number of shards to cut the grid into (0 = 2 per worker)")
@@ -167,8 +165,7 @@ func runCtl(ctx context.Context, args []string, outw, errw io.Writer) error {
 	grid, err := buildGrid(gridFlags{
 		kind: *kind, topo: *topo, scale: *scale, seed: *seed, topoSeed: *topoSeed,
 		sizes: *sizes, nsource: *nsource, nrcvr: *nrcvr, nets: *nets,
-		mode: *mode, strategy: *strategy, nested: *nested, batchbfs: *batchbfs,
-		sptcache: *sptcache, large: *large,
+		mode: *mode, strategy: *strategy, nested: *nested, large: *large,
 	})
 	if err != nil {
 		return err
@@ -322,7 +319,7 @@ type gridFlags struct {
 	scale                             float64
 	seed, topoSeed                    int64
 	nsource, nrcvr, nets              int
-	nested, batchbfs, sptcache, large bool
+	nested, large                     bool
 }
 
 func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
@@ -338,12 +335,13 @@ func buildGrid(f gridFlags) (mtreescale.ClusterGrid, error) {
 		Scale:    f.scale,
 		Sizes:    szs,
 		Protocol: mtreescale.Protocol{
-			NSource:  f.nsource,
-			NRcvr:    f.nrcvr,
-			Seed:     f.seed,
-			Nested:   f.nested,
-			BatchBFS: f.batchbfs,
-			SPTCache: f.sptcache,
+			NSource: f.nsource,
+			NRcvr:   f.nrcvr,
+			Seed:    f.seed,
+			Nested:  f.nested,
+			// Curve and shared grids sweep a generation-cached topology;
+			// ensemble networks are transient and skip the cache anyway.
+			SPTCache: true,
 			Workers:  1,
 		},
 		LargeGraph: f.large,

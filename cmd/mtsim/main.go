@@ -79,8 +79,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		nested     = fs.Bool("nested", false, "use the incremental nested-growth engine for simulation figures (statistically equivalent, faster)")
 		churnCap   = fs.Int("churn-cap", 0, "degree cap for the churn experiments' bounded variant (0 = profile default, else ≥ 2)")
 		churnSess  = fs.String("churn-session", "", "session-length distribution for the churn experiments: exp|pareto|fixed (empty = profile default)")
-		sptcache   = fs.Bool("sptcache", true, "reuse shortest-path trees across experiments via the process-wide SPT cache (byte-identical output; -sptcache=false disables)")
-		batchbfs   = fs.Bool("batchbfs", true, "resolve source trees through the multi-source BFS batch kernel, up to 64 sources per traversal (byte-identical output; -batchbfs=false disables)")
 		compress   = fs.Bool("compress", false, "hold topologies in the compressed CSR layout (~half the adjacency bytes; byte-identical output) — the large-graph memory mode")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 		timeout    = fs.Duration("timeout", 0, "abort the run after this wall-clock duration (0 = no limit)")
@@ -136,8 +134,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	p.Nested = *nested
-	p.SPTCache = *sptcache
-	p.BatchBFS = *batchbfs
 	p.LargeGraph = *compress
 	if *churnCap != 0 {
 		p.ChurnCap = *churnCap

@@ -39,10 +39,6 @@ type config struct {
 
 	maxHeap uint64
 
-	// batchBFS resolves source trees through the MS-BFS batch kernel in
-	// every computed experiment (output is byte-identical either way).
-	batchBFS bool
-
 	// compress holds topologies in the compressed CSR layout (output is
 	// byte-identical either way; ~half the adjacency bytes). The
 	// large-graph memory mode.
@@ -87,7 +83,6 @@ func defaultConfig() config {
 		quarBase:          10 * time.Second,
 		quarMax:           5 * time.Minute,
 		readHeaderTimeout: 5 * time.Second,
-		batchBFS:          true,
 	}
 }
 
@@ -280,7 +275,6 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSONError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	p.BatchBFS = s.cfg.batchBFS
 	p.LargeGraph = s.cfg.compress
 	if s.cfg.churnCap != 0 {
 		p.ChurnCap = s.cfg.churnCap

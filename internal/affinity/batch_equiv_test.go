@@ -7,48 +7,50 @@ import (
 	"mtreescale/internal/rng"
 )
 
-// The batch knob of NewGraphChainBatch only changes how the all-pairs
-// distance matrix is computed; distances are identical, so two chains built
-// with the same seed must walk the same trajectory step for step.
+// The all-pairs distance matrix is built through the MS-BFS kernel, as a
+// cache pre-fill or straight off a 64-lane slab (the test graph spans two
+// slabs). Both must equal per-source g.BFS distances, and two chains built
+// with the same seed must then walk the same trajectory step for step.
 func TestGraphChainBatchByteIdentical(t *testing.T) {
 	g := smallGraph(t)
-	build := func(spts *graph.SPTCache, batch bool) *GraphChain {
+	build := func(spts *graph.SPTCache) *GraphChain {
 		t.Helper()
-		c, err := NewGraphChainBatch(g, 0, 12, 0.8, rng.New(5), spts, batch)
+		c, err := NewGraphChainCached(g, 0, 12, 0.8, rng.New(5), spts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	ref := build(nil, false)
+	ref := build(nil)
 	variants := map[string]*GraphChain{
-		"batch-slab":   build(nil, true),
-		"cache-serial": build(graph.NewSPTCache(1<<30), false),
-		"cache-batch":  build(graph.NewSPTCache(1<<30), true),
+		"slab":  ref,
+		"cache": build(graph.NewSPTCache(1 << 30)),
 	}
-	for name, c := range variants {
-		for u := 0; u < g.N(); u++ {
-			for v := 0; v < g.N(); v++ {
-				if c.dist[u][v] != ref.dist[u][v] {
-					t.Fatalf("%s: dist[%d][%d] = %d, want %d", name, u, v, c.dist[u][v], ref.dist[u][v])
+	for u := 0; u < g.N(); u++ {
+		spt, err := g.BFS(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range variants {
+			for v, d := range spt.Dist {
+				if int32(c.dist[u][v]) != d {
+					t.Fatalf("%s: dist[%d][%d] = %d, want BFS %d", name, u, v, c.dist[u][v], d)
 				}
 			}
 		}
 	}
+	c := variants["cache"]
 	for sweep := 0; sweep < 20; sweep++ {
 		ref.Sweep()
-		for name, c := range variants {
-			c.Sweep()
-			if c.AvgPairDist() != ref.AvgPairDist() || c.TreeSize() != ref.TreeSize() {
-				t.Fatalf("%s diverged at sweep %d: d̂=%v tree=%d, want d̂=%v tree=%d",
-					name, sweep, c.AvgPairDist(), c.TreeSize(), ref.AvgPairDist(), ref.TreeSize())
-			}
-			got, want := c.Positions(), ref.Positions()
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s diverged at sweep %d: positions[%d] = %d, want %d",
-						name, sweep, i, got[i], want[i])
-				}
+		c.Sweep()
+		if c.AvgPairDist() != ref.AvgPairDist() || c.TreeSize() != ref.TreeSize() {
+			t.Fatalf("cache diverged at sweep %d: d̂=%v tree=%d, want d̂=%v tree=%d",
+				sweep, c.AvgPairDist(), c.TreeSize(), ref.AvgPairDist(), ref.TreeSize())
+		}
+		got, want := c.Positions(), ref.Positions()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cache diverged at sweep %d: positions[%d] = %d, want %d", sweep, i, got[i], want[i])
 			}
 		}
 	}

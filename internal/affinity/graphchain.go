@@ -51,17 +51,10 @@ func NewGraphChain(g *graph.Graph, source, n int, beta float64, r randSource) (*
 // through an SPT cache (nil disables caching). The pass is the chain's
 // dominant cost — N full-graph BFS runs — and an affinity sweep builds one
 // chain per (β, n) point on the SAME graph, so a shared cache collapses the
-// sweep's BFS work to a single pass.
+// sweep's BFS work to a single pass. The pass runs through the MS-BFS kernel,
+// 64 sources per traversal: as a cache pre-fill when a cache is supplied,
+// else reading distance rows straight off a pooled 64-lane slab.
 func NewGraphChainCached(g *graph.Graph, source, n int, beta float64, r randSource, spts *graph.SPTCache) (*GraphChain, error) {
-	return NewGraphChainBatch(g, source, n, beta, r, spts, false)
-}
-
-// NewGraphChainBatch is NewGraphChainCached with an explicit batch knob: with
-// batch set, the all-pairs pass runs through the MS-BFS kernel, 64 sources
-// per traversal — as a cache pre-fill when a cache is supplied, else reading
-// distance rows straight off a pooled slab. Distances are identical either
-// way, so the chain's behavior is unchanged.
-func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSource, spts *graph.SPTCache, batch bool) (*GraphChain, error) {
 	if g.N() < 2 {
 		return nil, valid.Badf("affinity: graph too small (N=%d)", g.N())
 	}
@@ -89,7 +82,24 @@ func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSourc
 		dist:    make([][]int16, g.N()),
 		counter: mcast.NewTreeCounter(g.N()),
 	}
-	if batch && spts != nil {
+	// row copies one source's distances into the matrix, rejecting a
+	// disconnected graph.
+	row := func(v int, dist []int32) error {
+		out := make([]int16, g.N())
+		reached := 0
+		for u, d := range dist {
+			if d != graph.Unreachable {
+				reached++
+			}
+			out[u] = int16(d)
+		}
+		if reached != g.N() {
+			return fmt.Errorf("affinity: graph not connected (source %d reaches %d of %d)", v, reached, g.N())
+		}
+		c.dist[v] = out
+		return nil
+	}
+	if spts != nil {
 		all := make([]int, g.N())
 		for v := range all {
 			all[v] = v
@@ -97,8 +107,17 @@ func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSourc
 		if err := spts.FillBatch(g, all); err != nil {
 			return nil, err
 		}
-	}
-	if batch && spts == nil {
+		for v := range all {
+			spt, err := spts.Get(g, v)
+			if err != nil {
+				return nil, err
+			}
+			if err := row(v, spt.Dist); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		// MaxGraphChainNodes bounds a 64-lane slab, so it needs no cap.
 		b := graph.AcquireSPTBatch()
 		defer graph.ReleaseSPTBatch(b)
 		srcs := make([]int, 0, 64)
@@ -111,41 +130,10 @@ func NewGraphChainBatch(g *graph.Graph, source, n int, beta float64, r randSourc
 				return nil, err
 			}
 			for i, v := range srcs {
-				row := make([]int16, g.N())
-				reached := 0
-				for u, d := range b.DistRow(i) {
-					if d != graph.Unreachable {
-						reached++
-					}
-					row[u] = int16(d)
-				}
-				if reached != g.N() {
-					return nil, fmt.Errorf("affinity: graph not connected (source %d reaches %d of %d)", v, reached, g.N())
-				}
-				c.dist[v] = row
-			}
-		}
-	} else {
-		var sptBuf graph.SPT
-		for v := 0; v < g.N(); v++ {
-			spt := &sptBuf
-			if spts != nil {
-				cached, err := spts.Get(g, v)
-				if err != nil {
+				if err := row(v, b.DistRow(i)); err != nil {
 					return nil, err
 				}
-				spt = cached
-			} else if err := g.BFSInto(v, &sptBuf); err != nil {
-				return nil, err
 			}
-			if spt.Reachable() != g.N() {
-				return nil, fmt.Errorf("affinity: graph not connected (source %d reaches %d of %d)", v, spt.Reachable(), g.N())
-			}
-			row := make([]int16, g.N())
-			for u := 0; u < g.N(); u++ {
-				row[u] = int16(spt.Dist[u])
-			}
-			c.dist[v] = row
 		}
 	}
 	if spts != nil {

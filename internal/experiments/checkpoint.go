@@ -27,11 +27,39 @@ type CheckpointRecord struct {
 	Result *Result `json:"result"`
 }
 
-// ProfileKey fingerprints a profile. Experiments are deterministic functions
-// of the profile, so (key, id) identifies a result exactly; %#v covers every
-// field including ones added later.
+// profileKeySchema versions ProfileKey's input. Bump it whenever
+// profileKey's fields or their meaning change, so journals and caches
+// written under the old key stop matching instead of being misread.
+const profileKeySchema = 2
+
+// profileKey holds the Profile fields that determine results. Name only
+// labels a profile and LargeGraph only picks the topology storage layout
+// (output is byte-identical), so neither is keyed: a layout switch keeps
+// resume and cached reads valid.
+type profileKey struct {
+	Schema                  int
+	Scale                   float64
+	NSource, NRcvr          int
+	GridPoints              int
+	Seed                    int64
+	MCMCBurnIn, MCMCSamples int
+	MaxGroupSize            int
+	Nested                  bool
+	ChurnCap                int
+	ChurnSession            string
+}
+
+// ProfileKey fingerprints the result-determining fields of a profile.
+// Experiments are deterministic functions of those fields, so (key, id)
+// identifies a result exactly.
 func ProfileKey(p Profile) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", p)))
+	k := profileKey{
+		Schema: profileKeySchema, Scale: p.Scale, NSource: p.NSource, NRcvr: p.NRcvr,
+		GridPoints: p.GridPoints, Seed: p.Seed, MCMCBurnIn: p.MCMCBurnIn,
+		MCMCSamples: p.MCMCSamples, MaxGroupSize: p.MaxGroupSize, Nested: p.Nested,
+		ChurnCap: p.ChurnCap, ChurnSession: p.ChurnSession,
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", k)))
 	return hex.EncodeToString(sum[:])
 }
 

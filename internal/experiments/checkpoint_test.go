@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mtreescale/internal/valid"
@@ -101,6 +102,55 @@ func TestProfileKeyDistinguishesProfiles(t *testing.T) {
 	}
 	if ProfileKey(q) != ProfileKey(Quick()) {
 		t.Fatal("key not stable for identical profiles")
+	}
+}
+
+// TestProfileKeyFields classifies every Profile field as a result field
+// (must change the key) or a routing field (must not), and fails on a field
+// in neither list, so a new Profile field cannot silently miss the key or
+// void resume for byte-identical output.
+func TestProfileKeyFields(t *testing.T) {
+	result := []string{"Scale", "NSource", "NRcvr", "GridPoints", "Seed",
+		"MCMCBurnIn", "MCMCSamples", "MaxGroupSize", "Nested", "ChurnCap", "ChurnSession"}
+	routing := []string{"Name", "LargeGraph"}
+	class := map[string]bool{}
+	for _, f := range result {
+		class[f] = true
+	}
+	for _, f := range routing {
+		class[f] = false
+	}
+	base := Quick()
+	want := ProfileKey(base)
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		isResult, ok := class[name]
+		if !ok {
+			t.Fatalf("Profile.%s is classified neither as a result nor as a routing field", name)
+		}
+		p := base
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() / 2)
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		default:
+			t.Fatalf("Profile.%s: no mutation for kind %v", name, f.Kind())
+		}
+		if changed := ProfileKey(p) != want; changed != isResult {
+			t.Errorf("Profile.%s: key changed = %v, want %v", name, changed, isResult)
+		}
+	}
+	for name := range class {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("classified field %s is not a Profile field", name)
+		}
 	}
 }
 

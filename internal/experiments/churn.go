@@ -9,7 +9,6 @@ import (
 	"mtreescale/internal/mcast"
 	"mtreescale/internal/plot"
 	"mtreescale/internal/stats"
-	"mtreescale/internal/topology"
 )
 
 // The churn family drives the incremental delta-maintained tree engine
@@ -58,7 +57,7 @@ type churnCommon struct {
 }
 
 func churnSetup(p Profile) (*churnCommon, error) {
-	g, err := topology.GenerateCached("ts1000", 0, p.Scale)
+	g, err := standardTopology("ts1000", p)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +77,7 @@ func churnSetup(p Profile) (*churnCommon, error) {
 		dist:  dist,
 		prot: mcast.Protocol{
 			NSource: p.NSource, NRcvr: p.NRcvr, Seed: p.Seed,
-			SPTCache: p.SPTCache, BatchBFS: p.BatchBFS,
+			SPTCache: true,
 		},
 		cap: p.ChurnCap,
 	}, nil

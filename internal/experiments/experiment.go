@@ -42,18 +42,6 @@ type Profile struct {
 	// GridPoints× less tree-walk work. Off by default so the default
 	// outputs stay paper-faithful bit for bit.
 	Nested bool
-	// BatchBFS routes multi-source tree builds through the MS-BFS batch
-	// kernel (graph.BatchSPTs): up to 64 sources share one traversal. The
-	// trees produced are identical to per-source BFS, so output is
-	// byte-identical with the knob on or off; the standard profiles enable
-	// it.
-	BatchBFS bool
-	// SPTCache routes every shortest-path-tree build through the
-	// process-wide graph.SharedSPTs cache. Experiments sharing a profile
-	// sweep the same cached topologies and redraw the same source streams,
-	// so RunMany stops recomputing their trees. Output is byte-identical
-	// with the cache on or off; the standard profiles enable it.
-	SPTCache bool
 	// LargeGraph runs every topology in the compressed CSR layout
 	// (graph.Compress): varint delta-encoded adjacency at roughly half the
 	// edge bytes, the memory model that makes 10M+ node graphs a
@@ -105,7 +93,7 @@ func Paper() Profile {
 	return Profile{
 		Name: "paper", Scale: 1, NSource: 100, NRcvr: 100,
 		GridPoints: 24, Seed: 1999, MCMCBurnIn: 200, MCMCSamples: 400,
-		SPTCache: true, BatchBFS: true, ChurnCap: 4, ChurnSession: "exp",
+		ChurnCap: 4, ChurnSession: "exp",
 	}
 }
 
@@ -115,7 +103,7 @@ func Medium() Profile {
 	return Profile{
 		Name: "medium", Scale: 0.25, NSource: 30, NRcvr: 30,
 		GridPoints: 16, Seed: 1999, MCMCBurnIn: 100, MCMCSamples: 200,
-		SPTCache: true, BatchBFS: true, ChurnCap: 4, ChurnSession: "exp",
+		ChurnCap: 4, ChurnSession: "exp",
 	}
 }
 
@@ -124,8 +112,7 @@ func Quick() Profile {
 	return Profile{
 		Name: "quick", Scale: 0.05, NSource: 8, NRcvr: 8,
 		GridPoints: 8, Seed: 1999, MCMCBurnIn: 30, MCMCSamples: 60,
-		MaxGroupSize: 2000, SPTCache: true, BatchBFS: true,
-		ChurnCap: 4, ChurnSession: "exp",
+		MaxGroupSize: 2000, ChurnCap: 4, ChurnSession: "exp",
 	}
 }
 
@@ -342,7 +329,7 @@ func RunCtx(ctx context.Context, id string, p Profile) (*Result, error) {
 func buildTopologies(names []string, p Profile) ([]*graph.Graph, error) {
 	out := make([]*graph.Graph, 0, len(names))
 	for _, name := range names {
-		g, err := topology.GenerateCachedOpt(name, 0, p.Scale, p.LargeGraph)
+		g, err := standardTopology(name, p)
 		if err != nil {
 			return nil, err
 		}
@@ -351,28 +338,16 @@ func buildTopologies(names []string, p Profile) ([]*graph.Graph, error) {
 	return out, nil
 }
 
+// standardTopology fetches one standard topology at profile scale, in the
+// layout the profile asks for, through the generation cache.
+func standardTopology(name string, p Profile) (*graph.Graph, error) {
+	return topology.GenerateCachedOpt(name, 0, p.Scale, p.LargeGraph)
+}
+
 // capSize applies the profile's MaxGroupSize cap.
 func (p Profile) capSize(max int) int {
 	if p.MaxGroupSize > 0 && max > p.MaxGroupSize {
 		return p.MaxGroupSize
 	}
 	return max
-}
-
-// sptCache returns the process-wide SPT cache when the profile enables it,
-// nil otherwise — the form the reach package's cached entry points take.
-func (p Profile) sptCache() *graph.SPTCache {
-	if p.SPTCache {
-		return graph.SharedSPTs
-	}
-	return nil
-}
-
-// sptFor resolves one source's shortest-path tree under the profile's cache
-// policy. The result is read-only when it came from the cache.
-func sptFor(g *graph.Graph, source int, p Profile) (*graph.SPT, error) {
-	if p.SPTCache {
-		return graph.SharedSPTs.Get(g, source)
-	}
-	return g.BFS(source)
 }

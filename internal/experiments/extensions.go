@@ -48,7 +48,7 @@ func init() {
 }
 
 func runExtShared(ctx context.Context, p Profile) (*Result, error) {
-	g, err := topology.GenerateCached("ts1000", 0, p.Scale)
+	g, err := standardTopology("ts1000", p)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,7 @@ func runExtShared(ctx context.Context, p Profile) (*Result, error) {
 	}
 	res := &Result{ID: "ext-shared", Title: fig.Title, Figure: fig}
 	sizes := mcast.LogSpacedSizes(p.capSize(g.N()-1), p.GridPoints)
-	prot := mcast.Protocol{NSource: p.NSource, NRcvr: p.NRcvr, Seed: p.Seed, SPTCache: p.SPTCache, BatchBFS: p.BatchBFS}
+	prot := mcast.Protocol{NSource: p.NSource, NRcvr: p.NRcvr, Seed: p.Seed, SPTCache: true}
 	for _, strat := range []mcast.CoreStrategy{mcast.CoreRandom, mcast.CoreCenter, mcast.CoreSource} {
 		pts, err := mcast.MeasureSharedCurveCtx(ctx, g, sizes, strat, prot)
 		if err != nil {
@@ -88,7 +88,7 @@ func runExtShared(ctx context.Context, p Profile) (*Result, error) {
 }
 
 func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
-	g, err := topology.GenerateCached("ts1000", 0, p.Scale)
+	g, err := standardTopology("ts1000", p)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +122,7 @@ func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
 		n := 0
 		for si := 0; si < nSource; si++ {
 			source := srcRand.Intn(g.N())
-			spt, err := sptFor(g, source, p)
+			spt, err := graph.SharedSPTs.Get(g, source)
 			if err != nil {
 				return nil, err
 			}
@@ -175,7 +175,7 @@ func runExtEnsemble(ctx context.Context, p Profile) (*Result, error) {
 		return topology.TransitStubSized(scaledNodes(1000, p.Scale), 3.6, seed)
 	}
 	sizes := mcast.LogSpacedSizes(p.capSize(scaledNodes(1000, p.Scale)/2), p.GridPoints)
-	prot := mcast.Protocol{NSource: p.NSource/2 + 1, NRcvr: p.NRcvr/2 + 1, Seed: p.Seed, Nested: p.Nested, BatchBFS: p.BatchBFS}
+	prot := mcast.Protocol{NSource: p.NSource/2 + 1, NRcvr: p.NRcvr/2 + 1, Seed: p.Seed, Nested: p.Nested}
 	nNetworks := 5
 	pts, err := mcast.MeasureEnsembleCtx(ctx, gen, nNetworks, sizes, mcast.Distinct, prot)
 	if err != nil {

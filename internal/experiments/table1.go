@@ -33,13 +33,13 @@ func runTable1(ctx context.Context, p Profile) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, err := topology.GenerateCached(name, 0, p.Scale)
+		g, err := standardTopology(name, p)
 		if err != nil {
 			return nil, err
 		}
 		m := graph.ComputeMetrics(g, p.NSource, p.Seed)
 		growth := "n/a"
-		if r, err := reach.MeasureAveragedBatch(g, p.NSource, p.Seed, p.sptCache(), p.BatchBFS); err == nil {
+		if r, err := reach.MeasureAveragedCached(g, p.NSource, p.Seed, graph.SharedSPTs); err == nil {
 			if cls, err := r.Classify(0.5); err == nil {
 				growth = cls.String()
 			}

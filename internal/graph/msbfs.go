@@ -31,6 +31,12 @@ import (
 // uint64 mask.
 const msbfsLanes = 64
 
+// MaxBatchSlabBytes caps the dist+parent slab (8 bytes per source per node)
+// a caller may hold when it resolves a whole sweep's trees into one SPTBatch
+// (512 MiB). Above it, callers fall back to one BFSInto per source: the trees
+// are identical, and a sweep-sized slab could double a simulation-sized heap.
+const MaxBatchSlabBytes = 512 << 20
+
 // SPTBatch holds the shortest-path trees of a batch of sources as dense
 // lane-major slabs: lane i's distance row is dist[i*n : (i+1)*n], likewise
 // parents. Rows alias the slab — consumers that only read Dist/Parent (tree

@@ -131,9 +131,8 @@ func (c *SPTCache) Get(g *Graph, source int) (*SPT, error) {
 // Peek returns the cached tree for (g, source) without filling on a miss.
 // Like Get, it blocks on an in-flight fill for the key (sharing its result)
 // and counts a hit; a true miss returns (nil, false) and counts nothing, so
-// callers can decide how to compute the tree — the batch scheduling path
-// peeks every distinct source and routes the misses through one MS-BFS
-// traversal.
+// callers can decide how to compute the tree — FillBatch peeks every
+// distinct source and routes the misses through one MS-BFS traversal.
 func (c *SPTCache) Peek(g *Graph, source int) (*SPT, bool) {
 	if g == nil {
 		return nil, false

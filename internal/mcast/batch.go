@@ -4,67 +4,79 @@ import (
 	"mtreescale/internal/graph"
 )
 
-// This file is the engines' batch source-scheduling path: a sweep's source
-// trees are resolved through the multi-source BFS kernel in 64-lane batches
+// This file is the engines' one way to resolve source trees: a sweep's trees
+// are computed through the multi-source BFS kernel in 64-lane batches
 // *before* the worker fan-out, instead of one BFS inside each source job.
-// Every kernel produces the same canonical trees, so engaging the batch path
-// never changes a result — only how fast the trees appear.
+// Every kernel produces the same canonical trees, so the route taken never
+// changes a result — only how fast the trees appear.
 
-// maxBatchSlabBytes caps the dist+parent slab footprint of one engine-level
-// batch (512 MiB). A sweep whose (sources × nodes) footprint exceeds the cap
-// falls back to per-source BFS rather than risk doubling a simulation-sized
-// heap; results are identical either way.
-const maxBatchSlabBytes = 512 << 20
+// batchSlabCap is graph.MaxBatchSlabBytes; tests lower it to force the
+// per-source fallback.
+var batchSlabCap int64 = graph.MaxBatchSlabBytes
 
-// batchTrees holds a sweep's pre-resolved source trees: lane si of the slab
-// is the shortest-path tree of sources[si]. Workers read their lane through
-// zero-copy views; the slab is read-only once filled, so distinct workers
-// need no synchronization.
-type batchTrees struct {
-	batch *graph.SPTBatch
+// sourceTrees holds a sweep's resolved source trees: lane i is the
+// shortest-path tree of sources[i]. It is built once per sweep and then only
+// read, so workers share it without synchronization.
+type sourceTrees struct {
+	g       *graph.Graph
+	sources []int
+	cached  bool            // trees live in graph.SharedSPTs
+	batch   *graph.SPTBatch // pooled slab; nil when cached or over the cap
 }
 
-// resolveBatch resolves a sweep's source trees up front when the protocol
-// asks for batch scheduling. Outcomes:
-//   - (nil, nil): batch path not engaged — flag off, nothing to batch, or
-//     the slab would exceed maxBatchSlabBytes. Workers resolve per source
-//     exactly as before.
-//   - SPTCache on: graph.SharedSPTs is pre-filled via FillBatch (misses
-//     computed in 64-lane MS-BFS groups, inserted under the same keys a
-//     per-source fill would use); returns (nil, nil) because the workers'
-//     cache Gets now all hit.
-//   - SPTCache off: returns a batchTrees over exactly the sources slice;
-//     the caller must release() it after the worker pool drains.
-func resolveBatch(g *graph.Graph, sources []int, p Protocol) (*batchTrees, error) {
-	if !p.BatchBFS || len(sources) == 0 {
-		return nil, nil
-	}
-	if p.SPTCache {
+// resolveBatch resolves a sweep's source trees up front:
+//   - Protocol.SPTCache on: graph.SharedSPTs is pre-filled via FillBatch
+//     (misses computed in 64-lane MS-BFS groups, inserted under the same keys
+//     a per-source fill would use), and tree reads from the cache.
+//   - otherwise, when the (sources × nodes) slab fits batchSlabCap: one
+//     pooled slab holds every tree, and tree hands out zero-copy lane views.
+//   - otherwise tree runs one BFSInto per source, the size-selected fallback.
+//
+// The caller must release() the result after the worker pool drains.
+func resolveBatch(g *graph.Graph, sources []int, p Protocol) (*sourceTrees, error) {
+	st := &sourceTrees{g: g, sources: sources, cached: p.SPTCache}
+	switch {
+	case len(sources) == 0:
+	case st.cached:
 		if err := graph.SharedSPTs.FillBatch(g, sources); err != nil {
 			return nil, err
 		}
-		return nil, nil
+	case int64(len(sources))*int64(g.N())*8 <= batchSlabCap:
+		b := graph.AcquireSPTBatch()
+		if err := g.BatchSPTsInto(sources, b); err != nil {
+			graph.ReleaseSPTBatch(b)
+			return nil, err
+		}
+		st.batch = b
 	}
-	if int64(len(sources))*int64(g.N())*8 > maxBatchSlabBytes {
-		return nil, nil
-	}
-	b := graph.AcquireSPTBatch()
-	if err := g.BatchSPTsInto(sources, b); err != nil {
-		graph.ReleaseSPTBatch(b)
-		return nil, err
-	}
-	return &batchTrees{batch: b}, nil
+	return st, nil
 }
 
-// view fills t with lane si's zero-copy view of the slab. t.Order is nil —
-// the measurement loops only read Dist/Parent/Source.
-func (bt *batchTrees) view(si int, t *graph.SPT) { bt.batch.Lane(si, t) }
+// tree returns lane's shortest-path tree: a lane view written into view, the
+// cached tree, or a fresh BFS into buf. The result is read-only; a lane view
+// has a nil Order, which the measurement loops never read. view and buf must
+// be distinct, and view must never be handed to BFSInto, so a slab alias
+// cannot leak into a later BFS through pooled scratch.
+func (st *sourceTrees) tree(lane int, view, buf *graph.SPT) (*graph.SPT, error) {
+	switch {
+	case st.batch != nil:
+		st.batch.Lane(lane, view)
+		return view, nil
+	case st.cached:
+		return graph.SharedSPTs.Get(st.g, st.sources[lane])
+	default:
+		if err := st.g.BFSInto(st.sources[lane], buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+}
 
 // release returns the slab to the pool. Nil-safe so engines can defer it
 // unconditionally; no lane view may be used afterwards.
-func (bt *batchTrees) release() {
-	if bt != nil && bt.batch != nil {
-		graph.ReleaseSPTBatch(bt.batch)
-		bt.batch = nil
+func (st *sourceTrees) release() {
+	if st != nil && st.batch != nil {
+		graph.ReleaseSPTBatch(st.batch)
+		st.batch = nil
 	}
 }

@@ -395,22 +395,6 @@ var churnPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-// prepare resolves the tree root's SPT exactly like the static engines:
-// batch lane view, shared cache, or a BFS into pooled scratch.
-func (sc *churnScratch) prepare(g *graph.Graph, root, lane int, p Protocol, bt *batchTrees) (*graph.SPT, error) {
-	if bt != nil {
-		bt.view(lane, &sc.view)
-		return &sc.view, nil
-	}
-	if p.SPTCache {
-		return graph.SharedSPTs.Get(g, root)
-	}
-	if err := g.BFSInto(root, &sc.spt); err != nil {
-		return nil, err
-	}
-	return &sc.spt, nil
-}
-
 // MeasureChurn runs the churn workload without cancellation.
 func MeasureChurn(g *graph.Graph, cfg ChurnConfig, p Protocol) (*ChurnResult, error) {
 	return MeasureChurnCtx(context.Background(), g, cfg, p)
@@ -455,14 +439,14 @@ func MeasureChurnCtx(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Pro
 		sources = drawSources(g, p)
 		roots = sources
 	}
-	bt, err := resolveBatch(g, roots, p)
+	st, err := resolveBatch(g, roots, p)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer st.release()
 	slots := make([]churnSlot, p.NSource)
 	runErr := runSourceWorkers(ctx, p, func(si int) error {
-		return churnOneSource(ctx, g, cfg, p, si, roots[si], sources[si], bt, &slots[si])
+		return churnOneSource(ctx, g, cfg, p, si, sources[si], st, &slots[si])
 	})
 	if runErr != nil && runErr != context.Canceled && runErr != context.DeadlineExceeded {
 		return nil, runErr
@@ -477,10 +461,10 @@ func MeasureChurnCtx(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Pro
 // churnOneSource runs one source's event stream, filling slot. On
 // cancellation it leaves the measured-so-far sums in the slot and returns
 // the ctx error, so the reducer can still fold the partial window in.
-func churnOneSource(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Protocol, si, root, source int, bt *batchTrees, slot *churnSlot) error {
+func churnOneSource(ctx context.Context, g *graph.Graph, cfg ChurnConfig, p Protocol, si, source int, trees *sourceTrees, slot *churnSlot) error {
 	sc := churnPool.Get().(*churnScratch)
 	defer churnPool.Put(sc)
-	spt, err := sc.prepare(g, root, si, p, bt)
+	spt, err := trees.tree(si, &sc.view, &sc.spt)
 	if err != nil {
 		return err
 	}

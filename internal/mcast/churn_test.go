@@ -8,7 +8,7 @@ import (
 )
 
 func churnTestProtocol(workers int) Protocol {
-	return Protocol{NSource: 6, NRcvr: 1, Seed: 42, Workers: workers, BatchBFS: true}
+	return Protocol{NSource: 6, NRcvr: 1, Seed: 42, Workers: workers}
 }
 
 // stripWall zeroes the wall-clock field so deterministic results compare
@@ -22,21 +22,18 @@ func stripWall(r *ChurnResult) ChurnResult {
 func TestMeasureChurnDeterministicAcrossWorkers(t *testing.T) {
 	g := randGraph(3, 400, 600)
 	cfg := ChurnConfig{TargetMembers: 40}
-	base, err := MeasureChurn(g, cfg, churnTestProtocol(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Protocol{
-		churnTestProtocol(4),
-		{NSource: 6, NRcvr: 1, Seed: 42, Workers: 3, BatchBFS: false},
-		{NSource: 6, NRcvr: 1, Seed: 42, Workers: 2, BatchBFS: false, SPTCache: true},
-	} {
-		got, err := MeasureChurn(g, cfg, p)
+	var base *ChurnResult
+	for _, v := range append(batchVariants(), variant{routeSlab, 4}) {
+		got, err := MeasureChurn(g, cfg, v.apply(t, churnTestProtocol(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if base == nil {
+			base = got
+			continue
+		}
 		if stripWall(got) != stripWall(base) {
-			t.Fatalf("churn result differs for %+v:\n got %+v\nwant %+v", p, stripWall(got), stripWall(base))
+			t.Fatalf("churn result differs for %v:\n got %+v\nwant %+v", v, stripWall(got), stripWall(base))
 		}
 	}
 }
@@ -142,7 +139,7 @@ func TestMeasureChurnCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	cfg := ChurnConfig{TargetMembers: 200, WarmupEvents: 1, Events: 50_000_000}
-	p := Protocol{NSource: 4, NRcvr: 1, Seed: 7, Workers: 2, BatchBFS: true}
+	p := Protocol{NSource: 4, NRcvr: 1, Seed: 7, Workers: 2}
 	res, err := MeasureChurnCtx(ctx, g, cfg, p)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -8,8 +8,7 @@ import (
 
 // The compressed CSR layout must be a pure storage lever: every engine's
 // output over a compressed graph must be byte-identical to the flat-layout
-// run — serial or batched, at any worker count. Together with
-// batch_equiv_test.go this pins the full knob matrix the CLIs expose.
+// run — through every tree-resolution route, at any worker count.
 
 // compressed returns g in the compressed layout.
 func compressed(t *testing.T, g *graph.Graph) *graph.Graph {
@@ -32,15 +31,14 @@ func TestMeasureCurveCompressedByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cg := compressed(t, g)
-		for _, p := range batchVariants(base) {
-			graph.SharedSPTs.Clear()
-			got, err := MeasureCurve(cg, sizes, mode, p)
+		for _, v := range batchVariants() {
+			got, err := MeasureCurve(cg, sizes, mode, v.apply(t, base))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("mode=%v %+v: %+v != flat %+v", mode, p, got[k], want[k])
+					t.Fatalf("mode=%v %v: %+v != flat %+v", mode, v, got[k], want[k])
 				}
 			}
 		}
@@ -57,15 +55,14 @@ func TestMeasureCurveNestedCompressedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	cg := compressed(t, g)
-	for _, p := range batchVariants(base) {
-		graph.SharedSPTs.Clear()
-		got, err := MeasureCurveNested(cg, sizes, Distinct, p)
+	for _, v := range batchVariants() {
+		got, err := MeasureCurveNested(cg, sizes, Distinct, v.apply(t, base))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("%+v: %+v != flat %+v", p, got[k], want[k])
+				t.Fatalf("%v: %+v != flat %+v", v, got[k], want[k])
 			}
 		}
 	}
@@ -81,14 +78,14 @@ func TestMeasureSharedCurveCompressedByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cg := compressed(t, g)
-		for _, p := range batchVariants(base) {
-			got, err := MeasureSharedCurve(cg, sizes, strategy, p)
+		for _, v := range batchVariants() {
+			got, err := MeasureSharedCurve(cg, sizes, strategy, v.apply(t, base))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := range want {
 				if got[k] != want[k] {
-					t.Fatalf("%v %+v: %+v != flat %+v", strategy, p, got[k], want[k])
+					t.Fatalf("%v %v: %+v != flat %+v", strategy, v, got[k], want[k])
 				}
 			}
 		}

@@ -41,21 +41,19 @@ type Protocol struct {
 	// equivalent to the independent-sets protocol and roughly GridPoints×
 	// cheaper; the paper-faithful reference path is Nested == false.
 	Nested bool
-	// SPTCache routes shortest-path-tree construction through the
-	// process-wide graph.SharedSPTs cache, so experiments that draw the
-	// same sources on the same (topology-cached) graph reuse trees instead
-	// of re-running BFS. Cached trees come from the same routed BFS kernel
-	// as the uncached path, so results are byte-identical either way.
-	// Leave false for transient graphs that should not pin cache budget.
+	// SPTCache resolves source trees through the process-wide
+	// graph.SharedSPTs cache (pre-filled in 64-lane MS-BFS batches), so
+	// experiments that draw the same sources on the same (topology-cached)
+	// graph reuse trees instead of re-running BFS. Without it, a sweep's
+	// trees live in one pooled slab for the sweep's duration. Results are
+	// byte-identical either way. Leave false for transient graphs that
+	// should not pin cache budget.
 	SPTCache bool
-	// BatchBFS routes shortest-path-tree construction through the
-	// multi-source BFS kernel (graph.BatchSPTs): the engines resolve a
-	// sweep's source trees in 64-lane batches before the worker fan-out,
-	// so one traversal of a shared frontier advances up to 64 sources at
-	// once. With SPTCache set, the batch pre-fills graph.SharedSPTs;
-	// without it, workers read zero-copy lane views of one pooled slab.
-	// Every kernel produces the same canonical trees, so results are
-	// byte-identical with the flag on or off.
+	// BatchBFS is ignored: source trees always resolve through the
+	// multi-source BFS kernel, falling back to per-source BFS only when a
+	// sweep's slab would exceed graph.MaxBatchSlabBytes.
+	//
+	// Deprecated: no code reads this field.
 	BatchBFS bool
 }
 
@@ -89,10 +87,9 @@ func (p Protocol) EffectiveWorkers() int {
 	return workers
 }
 
-// DefaultProtocol is the paper's 100×100 protocol, measured through the
-// batched MS-BFS scheduling path (byte-identical to per-source BFS).
+// DefaultProtocol is the paper's 100×100 protocol.
 func DefaultProtocol(seed int64) Protocol {
-	return Protocol{NSource: 100, NRcvr: 100, Seed: seed, BatchBFS: true}
+	return Protocol{NSource: 100, NRcvr: 100, Seed: seed}
 }
 
 // Point is the aggregated observation for one group size.
@@ -155,15 +152,14 @@ func MeasureCurveCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode
 	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
 		return nil, err
 	}
-	sources := drawSources(g, p)
-	bt, err := resolveBatch(g, sources, p)
+	st, err := resolveBatch(g, drawSources(g, p), p)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer st.release()
 	acc := newCurveAccum(p.NSource, len(sizes))
 	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceIndependent(ctx, g, sources[si], si, si, sizes, mode, p, bt, acc)
+		return measureSourceIndependent(ctx, g, si, si, sizes, mode, p, st, acc)
 	})
 	if err != nil {
 		return nil, err
@@ -367,10 +363,10 @@ func RunWorkersN(ctx context.Context, workers, nJobs int, job func(i int) error)
 // the receiver buffer. Pooling it means steady-state measurement performs no
 // per-source allocation beyond the RNG stream.
 type sourceScratch struct {
-	spt     graph.SPT
-	spt2    graph.SPT // core-rooted tree for the shared-curve engine
-	view    graph.SPT // batch lane view; aliases a slab, never fed to BFSInto
-	view2   graph.SPT // core lane view for the shared-curve batch path
+	spt     graph.SPT // fallback BFS buffer
+	spt2    graph.SPT // fallback BFS buffer for the shared-curve core tree
+	view    graph.SPT // slab lane view; aliases a slab, never fed to BFSInto
+	view2   graph.SPT // core lane view for the shared-curve engine
 	pd, pd2 []int64   // packed (dist, parent) words for the fused loops
 	counter *TreeCounter
 	smp     Sampler
@@ -401,34 +397,18 @@ func (sc *sourceScratch) growPacked(pd []int64, n int) []int64 {
 	return sc.ar.GrowInt64(pd, n)
 }
 
-// prepare resolves the source's shortest-path tree — from the pre-resolved
-// batch when the engine engaged the batch scheduling path, from the
-// process-wide cache when the protocol allows, otherwise into the scratch
-// buffer — and resets the sampler for the source. The returned SPT is
-// read-only when it came from the batch or the cache; every consumer
-// (TreeCounter, Dist reads) only reads. Batch views land in sc.view, which
-// is never handed to BFSInto, so slab aliases cannot leak into later
-// BFS reuse of the pooled scratch.
+// prepare resolves lane's shortest-path tree through st and resets the
+// sampler for the source. The returned SPT is read-only.
 //
 // si is the source's global protocol index (it keys the per-source RNG
-// stream); lane is its slot in the engine's batch slab. A full sweep has
-// lane == si; a source-block partial sweep resolves only its block, so lane
-// is si - SrcLo.
-func (sc *sourceScratch) prepare(g *graph.Graph, src, si, lane int, p Protocol, bt *batchTrees) (*graph.SPT, error) {
-	spt := &sc.spt
-	if bt != nil {
-		bt.view(lane, &sc.view)
-		spt = &sc.view
-	} else if p.SPTCache {
-		cached, err := graph.SharedSPTs.Get(g, src)
-		if err != nil {
-			return nil, err
-		}
-		spt = cached
-	} else if err := g.BFSInto(src, &sc.spt); err != nil {
+// stream); lane is its slot in st. A full sweep has lane == si; a
+// source-block partial sweep resolves only its block, so lane is si - SrcLo.
+func (sc *sourceScratch) prepare(g *graph.Graph, si, lane int, p Protocol, st *sourceTrees) (*graph.SPT, error) {
+	spt, err := st.tree(lane, &sc.view, &sc.spt)
+	if err != nil {
 		return nil, err
 	}
-	exclude := src
+	exclude := spt.Source
 	if p.IncludeSource {
 		exclude = -1
 	}
@@ -444,12 +424,12 @@ func (sc *sourceScratch) prepare(g *graph.Graph, src, si, lane int, p Protocol, 
 // The tree is packed once per source and every sample measured through the
 // fused packed walk (exact-integer equivalent of counter.Measure).
 //
-// si is the global source index (RNG identity); lane is the batch-slab and
+// si is the global source index (RNG identity); lane is the tree and
 // accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
-func measureSourceIndependent(ctx context.Context, g *graph.Graph, src, si, lane int, sizes []int, mode Mode, p Protocol, bt *batchTrees, acc *curveAccum) error {
+func measureSourceIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, st *sourceTrees, acc *curveAccum) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
-	spt, err := sc.prepare(g, src, si, lane, p, bt)
+	spt, err := sc.prepare(g, si, lane, p, st)
 	if err != nil {
 		return err
 	}

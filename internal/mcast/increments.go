@@ -55,24 +55,21 @@ func MeasureIncrements(g *graph.Graph, maxM int, p Protocol) (*Increments, error
 	if maxM < 1 || maxM > g.N()-1 {
 		return nil, fmt.Errorf("mcast: maxM %d out of [1, %d]", maxM, g.N()-1)
 	}
+	st, err := resolveBatch(g, drawSources(g, p), p)
+	if err != nil {
+		return nil, err
+	}
+	defer st.release()
 	inc := &Increments{Delta: make([]float64, maxM)}
-	srcRand := rng.NewChild(p.Seed, -1)
 	counter := NewTreeCounter(g.N())
-	var sptBuf graph.SPT
+	var view, buf graph.SPT
 	var order []int32
 	for si := 0; si < p.NSource; si++ {
-		source := srcRand.Intn(g.N())
-		spt := &sptBuf
-		if p.SPTCache {
-			cached, err := graph.SharedSPTs.Get(g, source)
-			if err != nil {
-				return nil, err
-			}
-			spt = cached
-		} else if err := g.BFSInto(source, &sptBuf); err != nil {
+		spt, err := st.tree(si, &view, &buf)
+		if err != nil {
 			return nil, err
 		}
-		smp, err := NewSampler(g.N(), source, rng.NewChild(p.Seed, int64(si)))
+		smp, err := NewSampler(g.N(), spt.Source, rng.NewChild(p.Seed, int64(si)))
 		if err != nil {
 			return nil, err
 		}

@@ -45,15 +45,14 @@ func MeasureCurveNestedCtx(ctx context.Context, g *graph.Graph, sizes []int, mod
 	}
 	cuts := sizeCuts(sizes)
 	maxSize := cuts[len(cuts)-1].size
-	sources := drawSources(g, p)
-	bt, err := resolveBatch(g, sources, p)
+	st, err := resolveBatch(g, drawSources(g, p), p)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer st.release()
 	acc := newCurveAccum(p.NSource, len(sizes))
 	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceNested(ctx, g, sources[si], si, si, cuts, maxSize, mode, p, bt, acc)
+		return measureSourceNested(ctx, g, si, si, cuts, maxSize, mode, p, st, acc)
 	})
 	if err != nil {
 		return nil, err
@@ -87,10 +86,10 @@ func sizeCuts(sizes []int) []sizeCut {
 // counter's own, and nextCut keeps the grid read-off to one scalar compare
 // per receiver. The integers produced are exactly those of the unfused
 // loop, so the engine's results are unchanged.
-func measureSourceNested(ctx context.Context, g *graph.Graph, src, si, lane int, cuts []sizeCut, maxSize int, mode Mode, p Protocol, bt *batchTrees, acc *curveAccum) error {
+func measureSourceNested(ctx context.Context, g *graph.Graph, si, lane int, cuts []sizeCut, maxSize int, mode Mode, p Protocol, st *sourceTrees, acc *curveAccum) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
-	spt, err := sc.prepare(g, src, si, lane, p, bt)
+	spt, err := sc.prepare(g, si, lane, p, st)
 	if err != nil {
 		return err
 	}

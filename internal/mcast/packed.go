@@ -19,7 +19,7 @@ import (
 // The packed walks compute exactly the integers (links, hop sums, receiver
 // counts) of TreeCounter.Measure / Add / SharedTreeSize — same visited-epoch
 // scheme, same climb order — so engine results are byte-identical whether or
-// not these paths run. They are unconditional: not gated on Protocol.BatchBFS.
+// not these paths run.
 //
 // Receiver slices come from the Sampler, whose site population is built from
 // node IDs in [0, N), so the loops index pd without range guards; the

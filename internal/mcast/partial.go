@@ -72,13 +72,11 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 	if err := validateBlock(srcLo, srcHi, p.NSource, "source"); err != nil {
 		return nil, err
 	}
-	sources := drawSources(g, p)
-	block := sources[srcLo:srcHi]
-	bt, err := resolveBatch(g, block, p)
+	st, err := resolveBatch(g, drawSources(g, p)[srcLo:srcHi], p)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer st.release()
 	nBlock := srcHi - srcLo
 	acc := newCurveAccum(nBlock, len(sizes))
 	var cuts []sizeCut
@@ -90,9 +88,9 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 	err = RunWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
 		si := srcLo + lane
 		if nested {
-			return measureSourceNested(ctx, g, sources[si], si, lane, cuts, maxSize, mode, p, bt, acc)
+			return measureSourceNested(ctx, g, si, lane, cuts, maxSize, mode, p, st, acc)
 		}
-		return measureSourceIndependent(ctx, g, sources[si], si, lane, sizes, mode, p, bt, acc)
+		return measureSourceIndependent(ctx, g, si, lane, sizes, mode, p, st, acc)
 	})
 	if err != nil {
 		return nil, err
@@ -195,15 +193,14 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 	combined := make([]int, 0, 2*nBlock)
 	combined = append(combined, sources[srcLo:srcHi]...)
 	combined = append(combined, cores[srcLo:srcHi]...)
-	bt, err := resolveBatch(g, combined, p)
+	st, err := resolveBatch(g, combined, p)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer st.release()
 	acc := newSharedAccum(nBlock, len(sizes))
 	err = RunWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
-		si := srcLo + lane
-		return measureSourceShared(ctx, g, sources[si], cores[si], si, lane, nBlock, sizes, p, bt, acc)
+		return measureSourceShared(ctx, g, srcLo+lane, lane, nBlock, sizes, p, st, acc)
 	})
 	if err != nil {
 		return nil, err

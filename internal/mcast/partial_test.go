@@ -31,15 +31,16 @@ func TestCurvePartialsByteIdentical(t *testing.T) {
 	sizes := []int{1, 3, 9, 27, 80}
 	base := Protocol{NSource: 9, NRcvr: 5, Seed: 99}
 	configs := []struct {
-		name string
-		mut  func(*Protocol)
+		name  string
+		route route
+		mut   func(*Protocol)
 	}{
-		{"plain", func(p *Protocol) {}},
-		{"nested", func(p *Protocol) { p.Nested = true }},
-		{"batch", func(p *Protocol) { p.BatchBFS = true }},
-		{"batch-nested", func(p *Protocol) { p.BatchBFS = true; p.Nested = true }},
-		{"sptcache", func(p *Protocol) { p.BatchBFS = true; p.SPTCache = true }},
-		{"include-source", func(p *Protocol) { p.IncludeSource = true }},
+		{"plain", routeFallback, func(p *Protocol) {}},
+		{"nested", routeFallback, func(p *Protocol) { p.Nested = true }},
+		{"batch", routeSlab, func(p *Protocol) {}},
+		{"batch-nested", routeSlab, func(p *Protocol) { p.Nested = true }},
+		{"sptcache", routeCache, func(p *Protocol) {}},
+		{"include-source", routeSlab, func(p *Protocol) { p.IncludeSource = true }},
 	}
 	splits := map[string][][2]int{
 		"halves":     splitBlocks(base.NSource, 4),
@@ -50,7 +51,7 @@ func TestCurvePartialsByteIdentical(t *testing.T) {
 	for _, cfg := range configs {
 		for splitName, blocks := range splits {
 			t.Run(cfg.name+"/"+splitName, func(t *testing.T) {
-				p := base
+				p := useRoute(t, cfg.route, base)
 				cfg.mut(&p)
 				p.Workers = 3
 				want, err := MeasureCurve(g, sizes, Distinct, p)
@@ -173,7 +174,11 @@ func TestSharedPartialsByteIdentical(t *testing.T) {
 	for _, strategy := range []CoreStrategy{CoreRandom, CoreSource, CoreCenter} {
 		for _, batch := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/batch=%v", strategy, batch), func(t *testing.T) {
-				p := Protocol{NSource: 7, NRcvr: 4, Seed: 17, Workers: 3, BatchBFS: batch}
+				r := routeFallback
+				if batch {
+					r = routeSlab
+				}
+				p := useRoute(t, r, Protocol{NSource: 7, NRcvr: 4, Seed: 17, Workers: 3})
 				want, err := MeasureSharedCurve(g, sizes, strategy, p)
 				if err != nil {
 					t.Fatal(err)

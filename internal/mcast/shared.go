@@ -118,19 +118,19 @@ func MeasureSharedCurveCtx(ctx context.Context, g *graph.Graph, sizes []int, str
 		return nil, err
 	}
 
-	// The batch path resolves source and core trees in one slab: lane si is
-	// sources[si], lane NSource+si is cores[si].
+	// Source and core trees resolve together: lane si is sources[si], lane
+	// NSource+si is cores[si].
 	combined := make([]int, 0, 2*p.NSource)
 	combined = append(combined, sources...)
 	combined = append(combined, cores...)
-	bt, err := resolveBatch(g, combined, p)
+	st, err := resolveBatch(g, combined, p)
 	if err != nil {
 		return nil, err
 	}
-	defer bt.release()
+	defer st.release()
 	acc := newSharedAccum(p.NSource, len(sizes))
 	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceShared(ctx, g, sources[si], cores[si], si, si, p.NSource, sizes, p, bt, acc)
+		return measureSourceShared(ctx, g, si, si, p.NSource, sizes, p, st, acc)
 	})
 	if err != nil {
 		return nil, err
@@ -165,7 +165,7 @@ func validateSharedArgs(g *graph.Graph, sizes []int, p Protocol) error {
 func drawSharedPairs(g *graph.Graph, strategy CoreStrategy, p Protocol) (sources, cores []int, err error) {
 	var center int
 	if strategy == CoreCenter {
-		center, err = approxCenter(g, p.Seed, p.BatchBFS)
+		center, err = approxCenter(g, p.Seed)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -241,39 +241,26 @@ func (a *sharedAccum) reduce(sizes []int) []SharedPoint {
 }
 
 // measureSourceShared runs the shared-curve inner loop for one source: both
-// trees resolved (lane views when the batch path is engaged, else from the
-// SPT cache when enabled, else per-source BFS), packed, then every
-// (size, rep) sample measured against each through the fused packed walks.
-// ctx is polled at every grid point.
+// trees resolved through st, packed, then every (size, rep) sample measured
+// against each through the fused packed walks. ctx is polled at every grid
+// point.
 //
-// si is the global source index (RNG identity); lane is the slot in the
-// batch slab and the accumulator (lane == si for a full sweep); laneCount is
-// the number of source lanes in the batch, after which the core lanes start
-// (p.NSource for a full sweep, the block size for a partial one).
-func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, lane, laneCount int, sizes []int, p Protocol, bt *batchTrees, acc *sharedAccum) error {
+// si is the global source index (RNG identity); lane is the source's slot in
+// st and the accumulator (lane == si for a full sweep); laneCount is the
+// number of source lanes in st, after which the core lanes start (p.NSource
+// for a full sweep, the block size for a partial one).
+func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCount int, sizes []int, p Protocol, st *sourceTrees, acc *sharedAccum) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
-	srcSPT, coreSPT := &sc.spt, &sc.spt2
-	if bt != nil {
-		bt.view(lane, &sc.view)
-		bt.view(laneCount+lane, &sc.view2)
-		srcSPT, coreSPT = &sc.view, &sc.view2
-	} else if p.SPTCache {
-		var err error
-		if srcSPT, err = graph.SharedSPTs.Get(g, source); err != nil {
-			return err
-		}
-		if coreSPT, err = graph.SharedSPTs.Get(g, core); err != nil {
-			return err
-		}
-	} else {
-		if err := g.BFSInto(source, srcSPT); err != nil {
-			return err
-		}
-		if err := g.BFSInto(core, coreSPT); err != nil {
-			return err
-		}
+	srcSPT, err := st.tree(lane, &sc.view, &sc.spt)
+	if err != nil {
+		return err
 	}
+	coreSPT, err := st.tree(laneCount+lane, &sc.view2, &sc.spt2)
+	if err != nil {
+		return err
+	}
+	source := srcSPT.Source
 	sc.pd = packTree(srcSPT, sc.growPacked(sc.pd, len(srcSPT.Parent)))
 	sc.pd2 = packTree(coreSPT, sc.growPacked(sc.pd2, len(coreSPT.Parent)))
 	// Receivers always exclude the source here (the shared-tree comparison
@@ -281,7 +268,6 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 	if err := sc.smp.Reset(g.N(), source, rng.NewChild(p.Seed, int64(si))); err != nil {
 		return err
 	}
-	var err error
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -305,10 +291,8 @@ func measureSourceShared(ctx context.Context, g *graph.Graph, source, core, si, 
 // approxCenter returns a node with approximately minimum eccentricity by
 // sampling BFS sources and picking the node minimizing the max distance to
 // the sampled sources — a cheap 2-approximation-flavor heuristic adequate
-// for core placement. With batch set, the sampled traversals run as one
-// MS-BFS batch; the sample sources are pre-drawn from the same stream in the
-// same order, and only Dist values are read, so the result is identical.
-func approxCenter(g *graph.Graph, seed int64, batch bool) (int, error) {
+// for core placement. The sampled traversals run as one MS-BFS batch.
+func approxCenter(g *graph.Graph, seed int64) (int, error) {
 	if g.N() == 0 {
 		return 0, fmt.Errorf("mcast: empty graph")
 	}
@@ -321,33 +305,20 @@ func approxCenter(g *graph.Graph, seed int64, batch bool) (int, error) {
 	for i := range srcs {
 		srcs[i] = r.Intn(g.N())
 	}
+	b := graph.AcquireSPTBatch()
+	defer graph.ReleaseSPTBatch(b)
+	if err := g.BatchSPTsInto(srcs, b); err != nil {
+		return 0, err
+	}
 	maxDist := make([]int32, g.N())
-	accumulate := func(dist []int32) {
-		for v, d := range dist {
+	for i := range srcs {
+		for v, d := range b.DistRow(i) {
 			if d == graph.Unreachable {
 				d = math.MaxInt32
 			}
 			if d > maxDist[v] {
 				maxDist[v] = d
 			}
-		}
-	}
-	if batch {
-		b := graph.AcquireSPTBatch()
-		defer graph.ReleaseSPTBatch(b)
-		if err := g.BatchSPTsInto(srcs, b); err != nil {
-			return 0, err
-		}
-		for i := range srcs {
-			accumulate(b.DistRow(i))
-		}
-	} else {
-		var spt graph.SPT
-		for _, s := range srcs {
-			if err := g.BFSInto(s, &spt); err != nil {
-				return 0, err
-			}
-			accumulate(spt.Dist)
 		}
 	}
 	best := 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mtreescale/internal/graph"
+	"mtreescale/internal/rng"
 	"mtreescale/internal/topology"
 )
 
@@ -162,7 +163,7 @@ func TestCoreStrategyString(t *testing.T) {
 
 func TestApproxCenterOnPath(t *testing.T) {
 	g := pathGraph(t, 21)
-	c, err := approxCenter(g, 1, false)
+	c, err := approxCenter(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +172,26 @@ func TestApproxCenterOnPath(t *testing.T) {
 	if c < 5 || c > 15 {
 		t.Fatalf("approx center of P21 = %d", c)
 	}
-	// The batched variant pre-draws the same samples from the same stream
-	// and reads the same distances, so it must pick the same node.
-	cb, err := approxCenter(g, 1, true)
-	if err != nil {
-		t.Fatal(err)
+	// Reference: the same sample draws, one BFS each. The batch kernel
+	// reads the same distances, so it must pick the same node.
+	r := rng.NewChild(1, -3)
+	maxDist := make([]int32, g.N())
+	for i := 0; i < 8; i++ {
+		spt, err := g.BFS(r.Intn(g.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, d := range spt.Dist {
+			maxDist[v] = max(maxDist[v], d)
+		}
 	}
-	if cb != c {
-		t.Fatalf("batched approx center %d != serial %d", cb, c)
+	want := 0
+	for v := range maxDist {
+		if maxDist[v] < maxDist[want] {
+			want = v
+		}
+	}
+	if c != want {
+		t.Fatalf("approx center %d != per-source BFS reference %d", c, want)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // The SPT cache must be a pure performance lever: every engine's output with
 // SPTCache on must be byte-identical to the uncached run, because cached
-// trees come from the same routed BFS kernel the uncached path uses.
+// trees come from the same MS-BFS kernel that fills the uncached slab.
 
 func curveProtocols(seed int64) (off, on Protocol) {
 	off = Protocol{NSource: 12, NRcvr: 8, Seed: seed}
@@ -38,7 +38,7 @@ func TestMeasureCurveCachedByteIdentical(t *testing.T) {
 			}
 		}
 	}
-	if st := graph.SharedSPTs.Stats(); st.Misses == 0 || st.Hits == 0 {
+	if st := graph.SharedSPTs.Stats(); st.Entries == 0 || st.Hits == 0 {
 		t.Fatalf("cache saw no traffic: %+v", st)
 	}
 }
@@ -88,23 +88,24 @@ func TestMeasureSharedCurveCachedByteIdentical(t *testing.T) {
 }
 
 func TestMeasureIncrementsCachedByteIdentical(t *testing.T) {
-	graph.SharedSPTs.Clear()
 	g := randGraph(19, 250, 500)
-	off, on := curveProtocols(31)
-	want, err := MeasureIncrements(g, 25, off)
+	base := Protocol{NSource: 12, NRcvr: 8, Seed: 31}
+	want, err := MeasureIncrements(g, 25, useRoute(t, routeFallback, base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MeasureIncrements(g, 25, on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Samples != want.Samples || len(got.Delta) != len(want.Delta) {
-		t.Fatalf("shape mismatch: %d/%d samples", got.Samples, want.Samples)
-	}
-	for j := range want.Delta {
-		if got.Delta[j] != want.Delta[j] {
-			t.Fatalf("Delta[%d]: cached %g != uncached %g", j, got.Delta[j], want.Delta[j])
+	for _, r := range []route{routeSlab, routeCache} {
+		got, err := MeasureIncrements(g, 25, useRoute(t, r, base))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Samples != want.Samples || len(got.Delta) != len(want.Delta) {
+			t.Fatalf("%v: shape mismatch: %d/%d samples", r, got.Samples, want.Samples)
+		}
+		for j := range want.Delta {
+			if got.Delta[j] != want.Delta[j] {
+				t.Fatalf("%v: Delta[%d] %g != fallback %g", r, j, got.Delta[j], want.Delta[j])
+			}
 		}
 	}
 }

@@ -7,41 +7,57 @@ import (
 	"mtreescale/internal/topology"
 )
 
-// The batch knob of MeasureAveragedBatch must not change a single bit of
+// measureRoutes runs MeasureAveragedCached on g through each way it can
+// resolve trees — per-source BFS (forced by a zero slab cap), one MS-BFS
+// slab, and a fresh SPT cache — and returns the results keyed by route.
+func measureRoutes(t *testing.T, g *graph.Graph, nSources int, seed int64) map[string]*Reachability {
+	t.Helper()
+	prev := batchSlabCap
+	defer func() { batchSlabCap = prev }()
+	out := map[string]*Reachability{}
+	for _, tc := range []struct {
+		name string
+		cap  int64
+		spts *graph.SPTCache
+	}{
+		{"fallback", 0, nil},
+		{"slab", graph.MaxBatchSlabBytes, nil},
+		{"cache", graph.MaxBatchSlabBytes, graph.NewSPTCache(1 << 30)},
+	} {
+		batchSlabCap = tc.cap
+		r, err := MeasureAveragedCached(g, nSources, seed, tc.spts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		out[tc.name] = r
+	}
+	return out
+}
+
+// sameS fails the test unless got and want are bit-identical.
+func sameS(t *testing.T, name string, got, want *Reachability) {
+	t.Helper()
+	if len(got.S) != len(want.S) {
+		t.Fatalf("%s: %d radii, want %d", name, len(got.S), len(want.S))
+	}
+	for d := range want.S {
+		if got.S[d] != want.S[d] {
+			t.Fatalf("%s: S(%d) = %v, want %v", name, d, got.S[d], want.S[d])
+		}
+	}
+}
+
+// The route MeasureAveragedCached takes must not change a single bit of
 // S(r): sources are pre-drawn from the same stream, and histogram counts are
-// exact integers in float64. Compare every slab/cache/serial combination
-// against the plain serial run.
+// exact integers in float64. Compare the slab and cache routes against the
+// per-source BFS fallback.
 func TestMeasureAveragedBatchByteIdentical(t *testing.T) {
 	g, err := topology.TransitStubSized(400, 3.6, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nSources, seed = 25, 917
-	want, err := MeasureAveragedBatch(g, nSources, seed, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		spts  *graph.SPTCache
-		batch bool
-	}{
-		{"batch-slab", nil, true},
-		{"cache-serial", graph.NewSPTCache(1 << 30), false},
-		{"cache-batch", graph.NewSPTCache(1 << 30), true},
-	}
-	for _, tc := range cases {
-		got, err := MeasureAveragedBatch(g, nSources, seed, tc.spts, tc.batch)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if len(got.S) != len(want.S) {
-			t.Fatalf("%s: %d radii, want %d", tc.name, len(got.S), len(want.S))
-		}
-		for d := range want.S {
-			if got.S[d] != want.S[d] {
-				t.Fatalf("%s: S(%d) = %v, want %v", tc.name, d, got.S[d], want.S[d])
-			}
-		}
+	got := measureRoutes(t, g, 25, 917)
+	for _, name := range []string{"slab", "cache"} {
+		sameS(t, name, got[name], got["fallback"])
 	}
 }

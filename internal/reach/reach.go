@@ -41,25 +41,21 @@ func MeasureAveraged(g *graph.Graph, nSources int, seed int64) (*Reachability, e
 	return MeasureAveragedCached(g, nSources, seed, nil)
 }
 
+// batchSlabCap is graph.MaxBatchSlabBytes; tests lower it to force the
+// per-source fallback.
+var batchSlabCap int64 = graph.MaxBatchSlabBytes
+
 // MeasureAveragedCached is MeasureAveraged routed through an SPT cache (nil
 // disables caching). Experiments that histogram the same (graph, seed) pair —
 // fig6 and fig7 share their per-topology source streams — reuse every tree on
 // the second pass.
+//
+// The source traversals run through the MS-BFS kernel: as a cache pre-fill
+// when a cache is supplied, else as one pooled slab whose distance rows are
+// histogrammed directly, falling back to one BFS per source when the slab
+// would exceed graph.MaxBatchSlabBytes. S(r) entries are counts accumulated
+// in exact float64 integer arithmetic, so the result is identical either way.
 func MeasureAveragedCached(g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache) (*Reachability, error) {
-	return MeasureAveragedBatch(g, nSources, seed, spts, false)
-}
-
-// maxBatchSlabBytes caps the dense MS-BFS slab the uncached batch path may
-// hold; above it the measurement falls back to per-source BFS.
-const maxBatchSlabBytes = 512 << 20
-
-// MeasureAveragedBatch is MeasureAveragedCached with an explicit batch knob:
-// with batch set, the source traversals run through the MS-BFS kernel — as a
-// cache pre-fill when an SPT cache is supplied, else as one pooled slab whose
-// distance rows are histogrammed directly. The sources are pre-drawn from the
-// same stream in the same order, and S(r) entries are counts accumulated in
-// exact float64 integer arithmetic, so the result is identical either way.
-func MeasureAveragedBatch(g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache, batch bool) (*Reachability, error) {
 	if nSources <= 0 {
 		return nil, fmt.Errorf("reach: nSources must be > 0, got %d", nSources)
 	}
@@ -72,55 +68,59 @@ func MeasureAveragedBatch(g *graph.Graph, nSources int, seed int64, spts *graph.
 		srcs[i] = r.Intn(g.N())
 	}
 	var acc []float64
-	if batch && spts != nil {
+	count := func(dist []int32) {
+		for _, d := range dist {
+			if d == graph.Unreachable {
+				continue
+			}
+			for len(acc) <= int(d) {
+				acc = append(acc, 0)
+			}
+			acc[d]++
+		}
+	}
+	switch {
+	case spts != nil:
 		if err := spts.FillBatch(g, srcs); err != nil {
 			return nil, err
 		}
-	}
-	if batch && spts == nil && int64(nSources)*int64(g.N())*8 <= maxBatchSlabBytes {
+		for _, src := range srcs {
+			spt, err := spts.Get(g, src)
+			if err != nil {
+				return nil, err
+			}
+			count(spt.Dist)
+		}
+	case int64(nSources)*int64(g.N())*8 <= batchSlabCap:
 		b := graph.AcquireSPTBatch()
 		defer graph.ReleaseSPTBatch(b)
 		if err := g.BatchSPTsInto(srcs, b); err != nil {
 			return nil, err
 		}
 		for i := range srcs {
-			for _, dd := range b.DistRow(i) {
-				if dd == graph.Unreachable {
-					continue
-				}
-				d := int(dd)
-				for len(acc) <= d {
-					acc = append(acc, 0)
-				}
-				acc[d]++
-			}
+			count(b.DistRow(i))
 		}
-	} else {
-		var sptBuf graph.SPT
+	default:
+		var spt graph.SPT
 		for _, src := range srcs {
-			spt := &sptBuf
-			if spts != nil {
-				cached, err := spts.Get(g, src)
-				if err != nil {
-					return nil, err
-				}
-				spt = cached
-			} else if err := g.BFSInto(src, &sptBuf); err != nil {
+			if err := g.BFSInto(src, &spt); err != nil {
 				return nil, err
 			}
-			for _, v := range spt.Order {
-				d := int(spt.Dist[v])
-				for len(acc) <= d {
-					acc = append(acc, 0)
-				}
-				acc[d]++
-			}
+			count(spt.Dist)
 		}
 	}
 	for i := range acc {
 		acc[i] /= float64(nSources)
 	}
 	return &Reachability{S: acc}, nil
+}
+
+// MeasureAveragedBatch is MeasureAveragedCached.
+//
+// Deprecated: batch is ignored; source traversals always run through the
+// MS-BFS kernel. Use MeasureAveragedCached.
+func MeasureAveragedBatch(g *graph.Graph, nSources int, seed int64, spts *graph.SPTCache, batch bool) (*Reachability, error) {
+	return MeasureAveragedCached(g, nSources, seed, spts)
 }
 
 // Depth returns the maximum distance D with S(D) > 0.

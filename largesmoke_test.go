@@ -62,7 +62,7 @@ func TestLargeGraphSmoke(t *testing.T) {
 	// One curve point, flat vs compressed: the layout is a pure storage
 	// lever, so the Points must be byte-identical.
 	sizes := []int{64}
-	p := mtreescale.Protocol{NSource: 2, NRcvr: 2, Seed: 5, BatchBFS: true}
+	p := mtreescale.Protocol{NSource: 2, NRcvr: 2, Seed: 5}
 	want, err := mtreescale.MeasureCurve(g, sizes, mtreescale.Distinct, p)
 	if err != nil {
 		t.Fatal(err)
