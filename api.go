@@ -237,17 +237,19 @@ func MeasureCurveCtx(ctx context.Context, g *Topology, sizes []int, mode Mode, p
 	return mcast.MeasureCurveCtx(ctx, g, sizes, mode, p)
 }
 
-// MeasureCurveNested is the incremental fast path of the §2 protocol: one
-// receiver sequence per (source, repetition), grown link by link, read off
-// at every grid size. Statistically equivalent to MeasureCurve and roughly
-// GridPoints× cheaper; also reachable via Protocol.Nested.
+// MeasureCurveNested is MeasureCurve with Protocol.Nested set: the
+// incremental fast path of the §2 protocol, one receiver sequence per
+// (source, repetition), grown link by link and read off at every grid size.
+// Statistically equivalent to the independent-sets path and roughly
+// GridPoints× cheaper.
 func MeasureCurveNested(g *Topology, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	return mcast.MeasureCurveNested(g, sizes, mode, p)
+	return MeasureCurveNestedCtx(context.Background(), g, sizes, mode, p)
 }
 
-// MeasureCurveNestedCtx is MeasureCurveNested under a cancellation context.
+// MeasureCurveNestedCtx is MeasureCurveCtx with Protocol.Nested set.
 func MeasureCurveNestedCtx(ctx context.Context, g *Topology, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	return mcast.MeasureCurveNestedCtx(ctx, g, sizes, mode, p)
+	p.Nested = true
+	return mcast.MeasureCurveCtx(ctx, g, sizes, mode, p)
 }
 
 // LogSpacedSizes returns up to count group sizes spanning [1, max],

@@ -17,7 +17,8 @@
 // Compare prints a per-benchmark ns/op delta table (negative = faster) and
 // exits nonzero when any benchmark present in both files slowed down by more
 // than the threshold percentage. Benchmarks only in one file are reported
-// but never fail the comparison.
+// but never fail the comparison; two files with no benchmark name in common
+// are an error, because such a comparison checks nothing.
 package main
 
 import (
@@ -147,7 +148,8 @@ func validateDoc(doc *Doc) error {
 }
 
 // runCompare prints the per-benchmark ns/op delta table and reports whether
-// any shared benchmark regressed beyond the threshold percentage.
+// any shared benchmark regressed beyond the threshold percentage. Documents
+// that share no benchmark name are an error.
 func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (bool, error) {
 	oldDoc, err := readDoc(oldPath)
 	if err != nil {
@@ -160,6 +162,15 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (bool, 
 	oldBy := make(map[string]Benchmark, len(oldDoc.Benchmarks))
 	for _, b := range oldDoc.Benchmarks {
 		oldBy[b.Name] = b
+	}
+	shared := 0
+	for _, nb := range newDoc.Benchmarks {
+		if _, ok := oldBy[nb.Name]; ok {
+			shared++
+		}
+	}
+	if shared == 0 {
+		return false, fmt.Errorf("%s and %s share no benchmark names: nothing to compare", oldPath, newPath)
 	}
 	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
 	regressed := false

@@ -241,3 +241,22 @@ func TestCompareErrors(t *testing.T) {
 		t.Fatal("non-positive old ns/op must error")
 	}
 }
+
+// TestCompareDisjointFails: two documents with no benchmark name in common
+// compare nothing, so the gate must fail rather than pass on "new" and
+// "dropped" rows alone.
+func TestCompareDisjointFails(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeDoc(t, dir, "old.json", []Benchmark{
+		{Name: "MeasureCurve", NsPerOp: 1000},
+		{Name: "BFS50k", NsPerOp: 2000},
+	})
+	newPath := writeDoc(t, dir, "new.json", []Benchmark{
+		{Name: "MeasureCurveNested", NsPerOp: 1000},
+		{Name: "BFS50kDense", NsPerOp: 2000},
+	})
+	var buf strings.Builder
+	if _, err := runCompare(&buf, oldPath, newPath, 10); err == nil {
+		t.Fatalf("disjoint documents must fail the comparison:\n%s", buf.String())
+	}
+}

@@ -13,6 +13,7 @@ import (
 
 	"mtreescale/internal/mcast"
 	"mtreescale/internal/serve"
+	"mtreescale/internal/valid"
 )
 
 // instant is the test Sleep: no waiting, still ctx-aware.
@@ -442,5 +443,21 @@ func TestGridValidate(t *testing.T) {
 	}
 	if k1, k2 := testGrid(KindCurve).Key(), testGrid(KindShared).Key(); k1 == k2 {
 		t.Fatal("distinct grids share a key")
+	}
+}
+
+// TestExecuteShardBadSizeIsParam: a group size beyond the topology's
+// receiver population is only detectable once the worker has built the
+// topology. It must still be a parameter error — a 400 on /shard, which the
+// coordinator fails fast as a bad grid — and not an internal failure that
+// strikes the worker and requeues the shard.
+func TestExecuteShardBadSizeIsParam(t *testing.T) {
+	for _, kind := range []Kind{KindCurve, KindShared, KindEnsemble} {
+		g := testGrid(kind)
+		g.Sizes = []int{1, 1 << 20}
+		_, err := ExecuteShard(context.Background(), ShardSpec{Grid: g, Lo: 0, Hi: 1})
+		if !valid.IsParam(err) {
+			t.Fatalf("%s: err = %v, want a parameter error", kind, err)
+		}
 	}
 }

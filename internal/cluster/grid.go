@@ -213,7 +213,7 @@ func ensembleGen(g Grid) func(seed int64) (*graph.Graph, error) {
 
 // ExecuteShard measures one shard: the worker-side entry point behind
 // mtsimd's POST /shard and the coordinator's -local mode. The partial it
-// returns is exactly the block the unsharded engine would compute.
+// returns holds exactly the cells a whole-range run computes for the block.
 func ExecuteShard(ctx context.Context, spec ShardSpec) (*Partial, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -252,8 +252,8 @@ func ExecuteShard(ctx context.Context, spec ShardSpec) (*Partial, error) {
 	return out, nil
 }
 
-// Merge folds shard partials into the grid's final result by replaying the
-// unsharded engine's reduction order. The partials must tile the grid's
+// Merge folds shard partials into the grid's final result with the
+// engines' own axis-order reduction. The partials must tile the grid's
 // sharding axis exactly; each must carry the engine payload its kind
 // demands and the grid's own key.
 func Merge(g Grid, parts []*Partial) (*Merged, error) {
@@ -322,9 +322,10 @@ func Merge(g Grid, parts []*Partial) (*Merged, error) {
 	return nil, valid.Badf("cluster: unknown grid kind %q", g.Kind)
 }
 
-// RunLocal measures the whole grid in-process through the UNSHARDED engines:
-// the reference a clustered run must match byte for byte, and the engine
-// behind mtctl -local.
+// RunLocal measures the whole grid in-process through the engines'
+// whole-range form (the full axis as one block, reduced alone): the
+// reference a clustered run must match byte for byte, and the engine behind
+// mtctl -local.
 func RunLocal(ctx context.Context, g Grid) (*Merged, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

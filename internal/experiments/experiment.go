@@ -37,7 +37,7 @@ type Profile struct {
 	// figures (0 = population limit).
 	MaxGroupSize int
 	// Nested runs the simulation figures through the incremental
-	// nested-growth engine (mcast.MeasureCurveNested): statistically
+	// nested-growth loop (mcast.Protocol.Nested): statistically
 	// equivalent to the paper's independent-sets protocol, roughly
 	// GridPoints× less tree-walk work. Off by default so the default
 	// outputs stay paper-faithful bit for bit.

@@ -98,7 +98,7 @@ func TestMeasureCurveNestedBatchByteIdentical(t *testing.T) {
 	sizes := []int{2, 5, 20, 20, 64}
 	var want []Point
 	for _, v := range batchVariants() {
-		got, err := MeasureCurveNested(g, sizes, Distinct, v.apply(t, Protocol{NSource: 10, NRcvr: 6, Seed: 7}))
+		got, err := MeasureCurve(g, sizes, Distinct, v.apply(t, Protocol{NSource: 10, NRcvr: 6, Seed: 7, Nested: true}))
 		if err != nil {
 			t.Fatal(err)
 		}

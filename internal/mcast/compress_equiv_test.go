@@ -48,15 +48,15 @@ func TestMeasureCurveCompressedByteIdentical(t *testing.T) {
 func TestMeasureCurveNestedCompressedByteIdentical(t *testing.T) {
 	g := randGraph(67, 300, 600)
 	sizes := []int{2, 5, 20, 64}
-	base := Protocol{NSource: 10, NRcvr: 6, Seed: 7, SPTCache: true}
+	base := Protocol{NSource: 10, NRcvr: 6, Seed: 7, SPTCache: true, Nested: true}
 	graph.SharedSPTs.Clear()
-	want, err := MeasureCurveNested(g, sizes, Distinct, base)
+	want, err := MeasureCurve(g, sizes, Distinct, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cg := compressed(t, g)
 	for _, v := range batchVariants() {
-		got, err := MeasureCurveNested(cg, sizes, Distinct, v.apply(t, base))
+		got, err := MeasureCurve(cg, sizes, Distinct, v.apply(t, base))
 		if err != nil {
 			t.Fatal(err)
 		}

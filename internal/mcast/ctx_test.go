@@ -23,7 +23,9 @@ func TestMeasureCurveCtxPreCancelled(t *testing.T) {
 	if _, err := MeasureCurveCtx(ctx, g, []int{1, 4}, Distinct, p); !errors.Is(err, context.Canceled) {
 		t.Fatalf("independent engine: err = %v, want context.Canceled", err)
 	}
-	if _, err := MeasureCurveNestedCtx(ctx, g, []int{1, 4}, Distinct, p); !errors.Is(err, context.Canceled) {
+	nested := p
+	nested.Nested = true
+	if _, err := MeasureCurveCtx(ctx, g, []int{1, 4}, Distinct, nested); !errors.Is(err, context.Canceled) {
 		t.Fatalf("nested engine: err = %v, want context.Canceled", err)
 	}
 	if _, err := MeasureSharedCurveCtx(ctx, g, []int{1, 4}, CoreRandom, p); !errors.Is(err, context.Canceled) {

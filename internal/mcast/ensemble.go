@@ -32,23 +32,14 @@ func MeasureEnsemble(gen func(seed int64) (*graph.Graph, error), nNetworks int, 
 // network workers observe ctx before each generation and propagate it into
 // every inner MeasureCurveCtx, which polls it at grid-point granularity. A
 // panic in gen or in a measurement worker surfaces as an error instead of
-// killing the process. A nil ctx means Background.
+// killing the process. A nil ctx means Background. It is the whole network
+// range [0, nNetworks) measured as one block and reduced alone (partial.go).
 func MeasureEnsembleCtx(ctx context.Context, gen func(seed int64) (*graph.Graph, error), nNetworks int, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	ctx = orBackground(ctx)
-	if gen == nil {
-		return nil, fmt.Errorf("mcast: nil generator")
-	}
-	if nNetworks < 1 {
-		return nil, fmt.Errorf("mcast: nNetworks must be >= 1, got %d", nNetworks)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	perNet, err := measureEnsembleNets(ctx, gen, 0, nNetworks, sizes, mode, p)
+	part, err := MeasureEnsemblePartialCtx(ctx, gen, nNetworks, sizes, mode, p, 0, nNetworks)
 	if err != nil {
 		return nil, err
 	}
-	return reduceEnsemble(sizes, perNet), nil
+	return ReduceEnsemblePartials(sizes, []*EnsemblePartial{part})
 }
 
 // measureEnsembleNets generates and measures the network instances
@@ -123,23 +114,26 @@ func measureEnsembleNets(ctx context.Context, gen func(seed int64) (*graph.Graph
 	return perNet, nil
 }
 
-// reduceEnsemble folds per-network curves into one, weighting each network's
-// point by its sample count, in network order: the deterministic float
-// reduction shared by the full engine and ReduceEnsemblePartials.
-func reduceEnsemble(sizes []int, perNet [][]Point) []Point {
+// reduceEnsemble folds the per-network curves of blocks that tile
+// [0, NNetworks) in order into one curve, weighting each network's point by
+// its sample count, in network order: the deterministic float reduction
+// every split of an ensemble shares.
+func reduceEnsemble(sizes []int, blocks []*EnsemblePartial) []Point {
 	acc := make([]Point, len(sizes))
 	for k := range acc {
 		acc[k].Size = sizes[k]
 	}
-	for net := range perNet {
-		for k, pt := range perNet[net] {
-			w := float64(pt.Samples)
-			acc[k].MeanRatio += pt.MeanRatio * w
-			acc[k].MeanLinks += pt.MeanLinks * w
-			acc[k].MeanUnicast += pt.MeanUnicast * w
-			// Pool the per-network standard errors conservatively.
-			acc[k].RatioStdErr += pt.RatioStdErr * pt.RatioStdErr * w * w
-			acc[k].Samples += pt.Samples
+	for _, b := range blocks {
+		for _, pts := range b.PerNet {
+			for k, pt := range pts {
+				w := float64(pt.Samples)
+				acc[k].MeanRatio += pt.MeanRatio * w
+				acc[k].MeanLinks += pt.MeanLinks * w
+				acc[k].MeanUnicast += pt.MeanUnicast * w
+				// Pool the per-network standard errors conservatively.
+				acc[k].RatioStdErr += pt.RatioStdErr * pt.RatioStdErr * w * w
+				acc[k].Samples += pt.Samples
+			}
 		}
 	}
 	for k := range acc {

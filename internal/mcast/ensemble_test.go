@@ -8,6 +8,7 @@ import (
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/topology"
+	"mtreescale/internal/valid"
 )
 
 func TestMeasureEnsembleBasic(t *testing.T) {
@@ -97,11 +98,11 @@ func TestMeasureEnsembleErrors(t *testing.T) {
 	gen := func(seed int64) (*graph.Graph, error) {
 		return topology.TransitStubSized(100, 3.6, seed)
 	}
-	if _, err := MeasureEnsemble(nil, 2, []int{1}, Distinct, Protocol{NSource: 1, NRcvr: 1}); err == nil {
-		t.Fatal("nil generator must error")
+	if _, err := MeasureEnsemble(nil, 2, []int{1}, Distinct, Protocol{NSource: 1, NRcvr: 1}); !valid.IsParam(err) {
+		t.Fatalf("nil generator: err = %v, want a parameter error", err)
 	}
-	if _, err := MeasureEnsemble(gen, 0, []int{1}, Distinct, Protocol{NSource: 1, NRcvr: 1}); err == nil {
-		t.Fatal("nNetworks=0 must error")
+	if _, err := MeasureEnsemble(gen, 0, []int{1}, Distinct, Protocol{NSource: 1, NRcvr: 1}); !valid.IsParam(err) {
+		t.Fatalf("nNetworks=0: err = %v, want a parameter error", err)
 	}
 	if _, err := MeasureEnsemble(gen, 2, []int{1}, Distinct, Protocol{}); err == nil {
 		t.Fatal("bad protocol must error")

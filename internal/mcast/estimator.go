@@ -35,11 +35,12 @@ type Protocol struct {
 	// EffectiveWorkers. Requesting more is not an error, just headroom
 	// that cannot be used.
 	Workers int
-	// Nested routes MeasureCurve through the incremental nested-growth
-	// engine (MeasureCurveNested): one receiver permutation per repetition,
-	// grown link by link, read off at every grid size. Statistically
-	// equivalent to the independent-sets protocol and roughly GridPoints×
-	// cheaper; the paper-faithful reference path is Nested == false.
+	// Nested makes the curve engine grow one receiver sequence per
+	// (source, repetition) link by link and read it off at every grid size
+	// (nested.go), instead of drawing an independent receiver set per
+	// (source, size, repetition). Statistically equivalent to the
+	// independent-sets protocol and roughly GridPoints× cheaper; the
+	// paper-faithful reference path is Nested == false.
 	Nested bool
 	// SPTCache resolves source trees through the process-wide
 	// graph.SharedSPTs cache (pre-filled in 64-lane MS-BFS batches), so
@@ -144,27 +145,14 @@ func MeasureCurve(g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, 
 // MeasureCurveCtx is MeasureCurve under a cancellation context: the worker
 // pool observes ctx at grid-point granularity, abandons the sweep promptly
 // after cancellation, and returns ctx's error. A nil ctx means Background.
+// It is the whole source range [0, NSource) measured as one block and
+// reduced alone (partial.go).
 func MeasureCurveCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	if p.Nested {
-		return MeasureCurveNestedCtx(ctx, g, sizes, mode, p)
-	}
-	ctx = orBackground(ctx)
-	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
-		return nil, err
-	}
-	st, err := resolveBatch(g, drawSources(g, p), p)
+	part, err := MeasureCurvePartialCtx(ctx, g, sizes, mode, p, 0, p.NSource)
 	if err != nil {
 		return nil, err
 	}
-	defer st.release()
-	acc := newCurveAccum(p.NSource, len(sizes))
-	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceIndependent(ctx, g, si, si, sizes, mode, p, st, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.reduce(sizes), nil
+	return ReduceCurvePartials(sizes, []*CurvePartial{part})
 }
 
 // orBackground normalizes a nil context.
@@ -175,8 +163,7 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// validateCurveArgs is the shared argument check of the independent and
-// nested curve engines.
+// validateCurveArgs checks the arguments of a curve sweep.
 func validateCurveArgs(g *graph.Graph, sizes []int, mode Mode, p Protocol) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -215,74 +202,6 @@ func drawSources(g *graph.Graph, p Protocol) []int {
 	return sources
 }
 
-// curveAccum holds per-(source, size) partial sums in contiguous slabs:
-// four float64 slabs and one int slab, each indexed [si*K + k]. One up-front
-// allocation replaces five small slices per source job, and the reduction
-// walks the slabs in source order so the float result is deterministic
-// regardless of worker scheduling.
-type curveAccum struct {
-	K                                      int
-	ratioSum, ratioSq, linkSum, unicastSum []float64
-	samples                                []int
-}
-
-func newCurveAccum(nSource, K int) *curveAccum {
-	slab := make([]float64, 4*nSource*K)
-	return &curveAccum{
-		K:          K,
-		ratioSum:   slab[0 : nSource*K],
-		ratioSq:    slab[nSource*K : 2*nSource*K],
-		linkSum:    slab[2*nSource*K : 3*nSource*K],
-		unicastSum: slab[3*nSource*K : 4*nSource*K],
-		samples:    make([]int, nSource*K),
-	}
-}
-
-// add records one sample for source index si at size index k. Distinct
-// sources never share a slab cell, so concurrent workers need no locking.
-func (a *curveAccum) add(si, k int, ratio, links, unicast float64) {
-	i := si*a.K + k
-	a.ratioSum[i] += ratio
-	a.ratioSq[i] += ratio * ratio
-	a.linkSum[i] += links
-	a.unicastSum[i] += unicast
-	a.samples[i]++
-}
-
-// reduce aggregates the slabs into one Point per size, reducing in source
-// order for a deterministic float result.
-func (a *curveAccum) reduce(sizes []int) []Point {
-	nSource := len(a.samples) / a.K
-	points := make([]Point, len(sizes))
-	for k := range sizes {
-		var links, unicast, ratioSum, ratioSq float64
-		n := 0
-		for si := 0; si < nSource; si++ {
-			i := si*a.K + k
-			links += a.linkSum[i]
-			unicast += a.unicastSum[i]
-			ratioSum += a.ratioSum[i]
-			ratioSq += a.ratioSq[i]
-			n += a.samples[i]
-		}
-		points[k] = Point{Size: sizes[k], Samples: n}
-		if n > 0 {
-			mean := ratioSum / float64(n)
-			points[k].MeanRatio = mean
-			points[k].MeanLinks = links / float64(n)
-			points[k].MeanUnicast = unicast / float64(n)
-			if n > 1 {
-				variance := (ratioSq - float64(n)*mean*mean) / float64(n-1)
-				if variance < 0 {
-					variance = 0 // float cancellation guard
-				}
-				points[k].RatioStdErr = math.Sqrt(variance / float64(n))
-			}
-		}
-	}
-	return points
-}
-
 // runSourceWorkers fans p.NSource source jobs out over the protocol's worker
 // pool. The jobs channel is buffered to NSource so a worker that returns
 // early on error can never strand the feed loop mid-send (the deadlock a
@@ -297,8 +216,8 @@ func runSourceWorkers(ctx context.Context, p Protocol, job func(si int) error) e
 }
 
 // RunWorkersN is the worker pool behind runSourceWorkers, generalized to an
-// arbitrary job count so the partial (source-block) engines can fan out over
-// just their block and the affinity package can fan out its Figure 9 cells.
+// arbitrary job count so the engines can fan out over just their source
+// block and the affinity package can fan out its Figure 9 cells.
 // Jobs are dispatched in index order; workers is clamped to nJobs. Each job
 // runs under panicsafe.Do after a ctx check; the first failing worker's
 // error is returned, preferring a real failure over a cancellation error.
@@ -401,8 +320,7 @@ func (sc *sourceScratch) growPacked(pd []int64, n int) []int64 {
 // sampler for the source. The returned SPT is read-only.
 //
 // si is the source's global protocol index (it keys the per-source RNG
-// stream); lane is its slot in st. A full sweep has lane == si; a
-// source-block partial sweep resolves only its block, so lane is si - SrcLo.
+// stream); lane is its slot in st, si - SrcLo.
 func (sc *sourceScratch) prepare(g *graph.Graph, si, lane int, p Protocol, st *sourceTrees) (*graph.SPT, error) {
 	spt, err := st.tree(lane, &sc.view, &sc.spt)
 	if err != nil {
@@ -425,8 +343,8 @@ func (sc *sourceScratch) prepare(g *graph.Graph, si, lane int, p Protocol, st *s
 // fused packed walk (exact-integer equivalent of counter.Measure).
 //
 // si is the global source index (RNG identity); lane is the tree and
-// accumulator slot (lane == si for a full sweep, si - SrcLo for a partial).
-func measureSourceIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, st *sourceTrees, acc *curveAccum) error {
+// accumulator slot, si - SrcLo.
+func measureSourceIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, st *sourceTrees, acc *CurvePartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	spt, err := sc.prepare(g, si, lane, p, st)

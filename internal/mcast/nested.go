@@ -7,12 +7,12 @@ import (
 	"mtreescale/internal/graph"
 )
 
-// MeasureCurveNested is the incremental fast path of the §2 protocol: where
-// MeasureCurve draws an independent receiver set for every (source, size,
-// repetition) triple, the nested engine draws ONE receiver sequence per
-// (source, repetition), grows the delivery tree receiver by receiver with
-// TreeCounter.Add (the paper's ΔL machinery, Eqs 5-6), and reads L, ū and
-// the ratio off at every grid size as the growth front passes it.
+// This file is the nested-growth inner loop of the §2 curve, selected by
+// Protocol.Nested. Where the independent loop draws a receiver set for every
+// (source, size, repetition) triple, the nested loop draws ONE receiver
+// sequence per (source, repetition), grows the delivery tree receiver by
+// receiver (the paper's ΔL machinery, Eqs 5-6), and reads L, ū and the
+// ratio off at every grid size as the growth front passes it.
 //
 // Soundness: in Distinct mode the sequence is a uniform random ordering of a
 // uniform distinct maxM-subset (Sampler.Permutation), so every prefix of
@@ -27,38 +27,6 @@ import (
 // Cost: one tree walk of O(L(maxM)) per repetition replaces GridPoints
 // walks of O(L(size_k)) — an expected ~GridPoints× reduction in tree-walk
 // work on log-spaced grids — and one O(maxM) draw replaces GridPoints draws.
-//
-// Results are deterministic for a fixed Protocol regardless of Workers,
-// exactly like MeasureCurve.
-func MeasureCurveNested(g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	return MeasureCurveNestedCtx(context.Background(), g, sizes, mode, p)
-}
-
-// MeasureCurveNestedCtx is MeasureCurveNested under a cancellation context:
-// the growth loop observes ctx between repetitions and returns its error
-// promptly after cancellation. A nil ctx means Background.
-func MeasureCurveNestedCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode, p Protocol) ([]Point, error) {
-	ctx = orBackground(ctx)
-	p.Nested = false // normalize: routing flag only, not consumed below
-	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
-		return nil, err
-	}
-	cuts := sizeCuts(sizes)
-	maxSize := cuts[len(cuts)-1].size
-	st, err := resolveBatch(g, drawSources(g, p), p)
-	if err != nil {
-		return nil, err
-	}
-	defer st.release()
-	acc := newCurveAccum(p.NSource, len(sizes))
-	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceNested(ctx, g, si, si, cuts, maxSize, mode, p, st, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.reduce(sizes), nil
-}
 
 // sizeCut maps a group size to its index in the caller's sizes slice.
 type sizeCut struct{ size, k int }
@@ -86,7 +54,7 @@ func sizeCuts(sizes []int) []sizeCut {
 // counter's own, and nextCut keeps the grid read-off to one scalar compare
 // per receiver. The integers produced are exactly those of the unfused
 // loop, so the engine's results are unchanged.
-func measureSourceNested(ctx context.Context, g *graph.Graph, si, lane int, cuts []sizeCut, maxSize int, mode Mode, p Protocol, st *sourceTrees, acc *curveAccum) error {
+func measureSourceNested(ctx context.Context, g *graph.Graph, si, lane int, cuts []sizeCut, maxSize int, mode Mode, p Protocol, st *sourceTrees, acc *CurvePartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	spt, err := sc.prepare(g, si, lane, p, st)

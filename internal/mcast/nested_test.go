@@ -10,6 +10,12 @@ import (
 	"mtreescale/internal/topology"
 )
 
+// nestedP returns p with the nested-growth loop selected.
+func nestedP(p Protocol) Protocol {
+	p.Nested = true
+	return p
+}
+
 // TestNestedIndependentEquivalence is the tentpole statistical check: on two
 // standard topologies, the nested-growth engine and the paper-faithful
 // independent-sets engine must agree per size within 3 pooled standard
@@ -30,7 +36,7 @@ func TestNestedIndependentEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nst, err := MeasureCurveNested(g, sizes, Distinct, p)
+		nst, err := MeasureCurve(g, sizes, Distinct, nestedP(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +65,7 @@ func TestNestedWithReplacementEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nst, err := MeasureCurveNested(g, sizes, WithReplacement, p)
+	nst, err := MeasureCurve(g, sizes, WithReplacement, nestedP(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +87,7 @@ func TestNestedDeterministicAcrossWorkers(t *testing.T) {
 	sizes := []int{1, 7, 40, 100}
 	var ref []Point
 	for _, workers := range []int{1, 3, 8} {
-		pts, err := MeasureCurveNested(g, sizes, Distinct, Protocol{NSource: 12, NRcvr: 9, Seed: 42, Workers: workers})
+		pts, err := MeasureCurve(g, sizes, Distinct, nestedP(Protocol{NSource: 12, NRcvr: 9, Seed: 42, Workers: workers}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,34 +103,13 @@ func TestNestedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestProtocolNestedFlagRoutes checks that Protocol.Nested routes
-// MeasureCurve through the nested engine.
-func TestProtocolNestedFlagRoutes(t *testing.T) {
-	g := randGraph(13, 100, 150)
-	sizes := []int{1, 10, 50}
-	p := Protocol{NSource: 6, NRcvr: 6, Seed: 5, Nested: true}
-	via, err := MeasureCurve(g, sizes, Distinct, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := MeasureCurveNested(g, sizes, Distinct, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range via {
-		if via[i] != direct[i] {
-			t.Fatalf("point %d: flag route %+v != direct %+v", i, via[i], direct[i])
-		}
-	}
-}
-
 // TestNestedBasicInvariants mirrors the independent engine's structural
 // checks: ratio 1 at m=1, increasing L̄, full sample counts, unsorted and
 // duplicate grid sizes handled.
 func TestNestedBasicInvariants(t *testing.T) {
 	g := randGraph(14, 200, 300)
 	sizes := []int{50, 1, 10, 10, 2} // deliberately unsorted with a duplicate
-	pts, err := MeasureCurveNested(g, sizes, Distinct, Protocol{NSource: 10, NRcvr: 10, Seed: 1})
+	pts, err := MeasureCurve(g, sizes, Distinct, nestedP(Protocol{NSource: 10, NRcvr: 10, Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +141,16 @@ func TestNestedBasicInvariants(t *testing.T) {
 
 func TestNestedErrors(t *testing.T) {
 	g := randGraph(15, 50, 70)
-	if _, err := MeasureCurveNested(g, []int{1}, Distinct, Protocol{}); err == nil {
+	if _, err := MeasureCurve(g, []int{1}, Distinct, nestedP(Protocol{})); err == nil {
 		t.Fatal("zero protocol must error")
 	}
-	if _, err := MeasureCurveNested(g, []int{0}, Distinct, Protocol{NSource: 1, NRcvr: 1}); err == nil {
+	if _, err := MeasureCurve(g, []int{0}, Distinct, nestedP(Protocol{NSource: 1, NRcvr: 1})); err == nil {
 		t.Fatal("size 0 must error")
 	}
-	if _, err := MeasureCurveNested(g, []int{50}, Distinct, Protocol{NSource: 1, NRcvr: 1}); err == nil {
+	if _, err := MeasureCurve(g, []int{50}, Distinct, nestedP(Protocol{NSource: 1, NRcvr: 1})); err == nil {
 		t.Fatal("m == N must error when source excluded")
 	}
-	if _, err := MeasureCurveNested(g, []int{1}, Mode(99), Protocol{NSource: 1, NRcvr: 1}); err == nil {
+	if _, err := MeasureCurve(g, []int{1}, Mode(99), nestedP(Protocol{NSource: 1, NRcvr: 1})); err == nil {
 		t.Fatal("unknown mode must error")
 	}
 }

@@ -2,23 +2,24 @@ package mcast
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/valid"
 )
 
-// This file exports the partial-reduction hooks the cluster layer shards
-// experiment grids with. Every curve engine in this package already computes
-// per-(source, size) partial sums in contiguous slabs and reduces them in
-// source order, so a sweep's float result never depends on worker
-// scheduling. The partial engines generalize that contract across process
-// boundaries: a source block [SrcLo, SrcHi) — or, for ensembles, a network
-// block [NetLo, NetHi) — can be measured alone, serialized as JSON, and
-// merged with its sibling blocks by replaying the exact source-order (or
-// network-order) reduction the single-process engine performs. Merged
-// results are therefore byte-identical to an unsharded run, which the
-// partial_test.go equivalence matrix asserts.
+// This file holds the engines. Each quantity — the §2 curve, the
+// shared-tree comparison and the footnote-4 ensemble — is measured by
+// exactly one function, its Measure*PartialCtx, over a block of its
+// population: sources [SrcLo, SrcHi) for the curves, networks
+// [NetLo, NetHi) for the ensemble. The public MeasureX(Ctx) entry points
+// measure the whole range [0, N) as one block and reduce it alone; the
+// cluster layer measures sibling blocks on different workers, ships them as
+// JSON and reduces them together. Blocks hold per-(source, size) partial
+// sums in contiguous slabs, and every reduction folds them in global source
+// (or network) order, so the float result never depends on how a sweep was
+// split or scheduled.
 //
 // Two sharding axes are NOT offered, deliberately:
 //
@@ -28,10 +29,11 @@ import (
 //   - repetition blocks: same argument, per (source, size).
 
 // CurvePartial carries the per-(source, size) partial sums of a curve sweep
-// for the global source block [SrcLo, SrcHi). Slabs are indexed
-// [(si-SrcLo)*K + k]; all float values survive a JSON round trip exactly
-// (encoding/json emits shortest-round-trip float64), so a partial shipped
-// over HTTP merges byte-identically to one kept in memory.
+// for the global source block [SrcLo, SrcHi) in slabs indexed
+// [(si-SrcLo)*K + k]. Distinct sources never share a cell, so the source
+// workers fill it without locking. All float values survive a JSON round
+// trip exactly (encoding/json emits shortest-round-trip float64), so a
+// partial shipped over HTTP reduces byte-identically to one kept in memory.
 type CurvePartial struct {
 	// NSource and K pin the protocol shape the partial was measured under;
 	// ReduceCurvePartials rejects mismatched partials.
@@ -48,6 +50,66 @@ type CurvePartial struct {
 	Samples    []int     `json:"samples"`
 }
 
+// newCurvePartial allocates the zeroed slabs of source block [lo, hi): one
+// float64 slab cut four ways and one int slab.
+func newCurvePartial(nSource, K, lo, hi int) *CurvePartial {
+	n := (hi - lo) * K
+	slab := make([]float64, 4*n)
+	return &CurvePartial{
+		NSource: nSource, K: K, SrcLo: lo, SrcHi: hi,
+		RatioSum:   slab[0:n],
+		RatioSq:    slab[n : 2*n],
+		LinkSum:    slab[2*n : 3*n],
+		UnicastSum: slab[3*n : 4*n],
+		Samples:    make([]int, n),
+	}
+}
+
+// add records one sample for block lane (si - SrcLo) at size index k.
+func (a *CurvePartial) add(lane, k int, ratio, links, unicast float64) {
+	i := lane*a.K + k
+	a.RatioSum[i] += ratio
+	a.RatioSq[i] += ratio * ratio
+	a.LinkSum[i] += links
+	a.UnicastSum[i] += unicast
+	a.Samples[i]++
+}
+
+// reduceCurve folds blocks that tile [0, NSource) in order into one Point
+// per size. Every size sums its cells in global source order, so the float
+// result is the same however the sweep was split.
+func reduceCurve(sizes []int, blocks []*CurvePartial) []Point {
+	points := make([]Point, len(sizes))
+	for k := range sizes {
+		var links, unicast, ratioSum, ratioSq float64
+		n := 0
+		for _, b := range blocks {
+			for i := k; i < len(b.Samples); i += b.K {
+				links += b.LinkSum[i]
+				unicast += b.UnicastSum[i]
+				ratioSum += b.RatioSum[i]
+				ratioSq += b.RatioSq[i]
+				n += b.Samples[i]
+			}
+		}
+		points[k] = Point{Size: sizes[k], Samples: n}
+		if n > 0 {
+			mean := ratioSum / float64(n)
+			points[k].MeanRatio = mean
+			points[k].MeanLinks = links / float64(n)
+			points[k].MeanUnicast = unicast / float64(n)
+			if n > 1 {
+				variance := (ratioSq - float64(n)*mean*mean) / float64(n-1)
+				if variance < 0 {
+					variance = 0 // float cancellation guard
+				}
+				points[k].RatioStdErr = math.Sqrt(variance / float64(n))
+			}
+		}
+	}
+	return points
+}
+
 // validateBlock checks a shard's [lo, hi) block against the population n.
 func validateBlock(lo, hi, n int, what string) error {
 	if lo < 0 || hi > n || lo >= hi {
@@ -57,15 +119,14 @@ func validateBlock(lo, hi, n int, what string) error {
 }
 
 // MeasureCurvePartialCtx measures the source block [srcLo, srcHi) of the
-// curve sweep MeasureCurveCtx(ctx, g, sizes, mode, p) would run. The full
-// source sequence is drawn and sliced — not re-drawn per block — and each
-// source keeps its global RNG stream, so the block's partial sums are
-// exactly the cells the unsharded engine would produce for those sources.
-// Protocol.Nested selects the engine, exactly as in MeasureCurveCtx.
+// curve sweep MeasureCurveCtx(ctx, g, sizes, mode, p) runs over [0, NSource).
+// The full source sequence is drawn and sliced — not re-drawn per block —
+// and each source keeps its global RNG stream, so a block's cells are the
+// same whichever blocks its sweep was split into. Protocol.Nested selects
+// the inner loop: the nested-growth one (nested.go) or the independent-sets
+// one.
 func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mode Mode, p Protocol, srcLo, srcHi int) (*CurvePartial, error) {
 	ctx = orBackground(ctx)
-	nested := p.Nested
-	p.Nested = false // routing flag only; consumed here
 	if err := validateCurveArgs(g, sizes, mode, p); err != nil {
 		return nil, err
 	}
@@ -77,39 +138,29 @@ func MeasureCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, mo
 		return nil, err
 	}
 	defer st.release()
-	nBlock := srcHi - srcLo
-	acc := newCurveAccum(nBlock, len(sizes))
-	var cuts []sizeCut
-	var maxSize int
-	if nested {
-		cuts = sizeCuts(sizes)
-		maxSize = cuts[len(cuts)-1].size
+	acc := newCurvePartial(p.NSource, len(sizes), srcLo, srcHi)
+	measure := func(lane int) error {
+		return measureSourceIndependent(ctx, g, srcLo+lane, lane, sizes, mode, p, st, acc)
 	}
-	err = RunWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
-		si := srcLo + lane
-		if nested {
-			return measureSourceNested(ctx, g, si, lane, cuts, maxSize, mode, p, st, acc)
+	if p.Nested {
+		cuts := sizeCuts(sizes)
+		maxSize := cuts[len(cuts)-1].size
+		measure = func(lane int) error {
+			return measureSourceNested(ctx, g, srcLo+lane, lane, cuts, maxSize, mode, p, st, acc)
 		}
-		return measureSourceIndependent(ctx, g, si, lane, sizes, mode, p, st, acc)
-	})
-	if err != nil {
+	}
+	if err := RunWorkersN(ctx, p.EffectiveWorkers(), srcHi-srcLo, measure); err != nil {
 		return nil, err
 	}
-	return &CurvePartial{
-		NSource: p.NSource, K: acc.K, SrcLo: srcLo, SrcHi: srcHi,
-		RatioSum: acc.ratioSum, RatioSq: acc.ratioSq,
-		LinkSum: acc.linkSum, UnicastSum: acc.unicastSum,
-		Samples: acc.samples,
-	}, nil
+	return acc, nil
 }
 
-// ReduceCurvePartials merges source-block partials into the final curve by
-// replaying the engine's source-order reduction. The partials must tile
-// [0, NSource) exactly — contiguous, non-overlapping, complete — and agree
-// on the protocol shape; order of the argument slice does not matter. The
-// result is byte-identical to the unsharded engine's: every slab cell is
-// the cell the full accumulator would hold, and the fold visits them in the
-// same source order.
+// ReduceCurvePartials reduces source-block partials into the final curve.
+// The partials must tile [0, NSource) exactly — contiguous, non-overlapping,
+// complete — and agree on the protocol shape; the order of the argument
+// slice does not matter. The fold visits every cell in global source order,
+// so any tiling of a sweep reduces to the same bits as the whole-range
+// block MeasureCurveCtx reduces.
 func ReduceCurvePartials(sizes []int, parts []*CurvePartial) ([]Point, error) {
 	if len(parts) == 0 {
 		return nil, valid.Badf("mcast: no curve partials to reduce")
@@ -126,7 +177,6 @@ func ReduceCurvePartials(sizes []int, parts []*CurvePartial) ([]Point, error) {
 	if k != len(sizes) {
 		return nil, valid.Badf("mcast: partial has K=%d, want %d grid points", k, len(sizes))
 	}
-	acc := newCurveAccum(nSource, k)
 	next := 0
 	for _, pt := range ordered {
 		if pt.NSource != nSource || pt.K != k {
@@ -143,23 +193,17 @@ func ReduceCurvePartials(sizes []int, parts []*CurvePartial) ([]Point, error) {
 			len(pt.LinkSum) != cells || len(pt.UnicastSum) != cells || len(pt.Samples) != cells {
 			return nil, valid.Badf("mcast: curve partial [%d, %d) has wrong slab size", pt.SrcLo, pt.SrcHi)
 		}
-		off := pt.SrcLo * k
-		copy(acc.ratioSum[off:], pt.RatioSum)
-		copy(acc.ratioSq[off:], pt.RatioSq)
-		copy(acc.linkSum[off:], pt.LinkSum)
-		copy(acc.unicastSum[off:], pt.UnicastSum)
-		copy(acc.samples[off:], pt.Samples)
 		next = pt.SrcHi
 	}
 	if next != nSource {
 		return nil, valid.Badf("mcast: source blocks cover [0, %d), want [0, %d)", next, nSource)
 	}
-	return acc.reduce(sizes), nil
+	return reduceCurve(sizes, ordered), nil
 }
 
-// SharedPartial is CurvePartial's shape for the shared-tree comparison
-// engine: per-(source, size) partial sums of source-tree size, shared-tree
-// size and the per-sample overhead ratio for the block [SrcLo, SrcHi).
+// SharedPartial is CurvePartial's shape for the shared-tree comparison:
+// per-(source, size) partial sums of source-tree size, shared-tree size and
+// the per-sample overhead ratio for the block [SrcLo, SrcHi).
 type SharedPartial struct {
 	NSource int `json:"n_source"`
 	K       int `json:"k"`
@@ -172,11 +216,55 @@ type SharedPartial struct {
 	Samples []int     `json:"samples"`
 }
 
+func newSharedPartial(nSource, K, lo, hi int) *SharedPartial {
+	n := (hi - lo) * K
+	slab := make([]float64, 3*n)
+	return &SharedPartial{
+		NSource: nSource, K: K, SrcLo: lo, SrcHi: hi,
+		SrcSum:  slab[0:n],
+		ShrSum:  slab[n : 2*n],
+		OvhSum:  slab[2*n : 3*n],
+		Samples: make([]int, n),
+	}
+}
+
+func (a *SharedPartial) add(lane, k int, src, shr, overhead float64) {
+	i := lane*a.K + k
+	a.SrcSum[i] += src
+	a.ShrSum[i] += shr
+	a.OvhSum[i] += overhead
+	a.Samples[i]++
+}
+
+// reduceShared is reduceCurve for the shared-tree comparison: blocks tile
+// [0, NSource) in order, and every size sums its cells in source order.
+func reduceShared(sizes []int, blocks []*SharedPartial) []SharedPoint {
+	out := make([]SharedPoint, len(sizes))
+	for k := range out {
+		out[k].Size = sizes[k]
+		for _, b := range blocks {
+			for i := k; i < len(b.Samples); i += b.K {
+				out[k].MeanSourceTree += b.SrcSum[i]
+				out[k].MeanSharedTree += b.ShrSum[i]
+				out[k].MeanOverhead += b.OvhSum[i]
+				out[k].Samples += b.Samples[i]
+			}
+		}
+		if out[k].Samples > 0 {
+			n := float64(out[k].Samples)
+			out[k].MeanSourceTree /= n
+			out[k].MeanSharedTree /= n
+			out[k].MeanOverhead /= n
+		}
+	}
+	return out
+}
+
 // MeasureSharedCurvePartialCtx measures the source block [srcLo, srcHi) of
-// MeasureSharedCurveCtx's sweep. The full (source, core) pair sequence is
-// drawn and sliced, and a CoreCenter strategy recomputes the same
-// deterministic center on every shard, so block results are exactly the
-// unsharded engine's cells.
+// the shared-tree sweep MeasureSharedCurveCtx runs over [0, NSource). The
+// full (source, core) pair sequence is drawn and sliced, and a CoreCenter
+// strategy recomputes the same deterministic center for every block, so a
+// block's cells never depend on the split.
 func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []int, strategy CoreStrategy, p Protocol, srcLo, srcHi int) (*SharedPartial, error) {
 	ctx = orBackground(ctx)
 	if err := validateSharedArgs(g, sizes, p); err != nil {
@@ -189,6 +277,8 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 	if err != nil {
 		return nil, err
 	}
+	// Source and core trees resolve together: lane i is sources[srcLo+i],
+	// lane nBlock+i is cores[srcLo+i].
 	nBlock := srcHi - srcLo
 	combined := make([]int, 0, 2*nBlock)
 	combined = append(combined, sources[srcLo:srcHi]...)
@@ -198,23 +288,18 @@ func MeasureSharedCurvePartialCtx(ctx context.Context, g *graph.Graph, sizes []i
 		return nil, err
 	}
 	defer st.release()
-	acc := newSharedAccum(nBlock, len(sizes))
+	acc := newSharedPartial(p.NSource, len(sizes), srcLo, srcHi)
 	err = RunWorkersN(ctx, p.EffectiveWorkers(), nBlock, func(lane int) error {
 		return measureSourceShared(ctx, g, srcLo+lane, lane, nBlock, sizes, p, st, acc)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &SharedPartial{
-		NSource: p.NSource, K: acc.K, SrcLo: srcLo, SrcHi: srcHi,
-		SrcSum: acc.srcSum, ShrSum: acc.shrSum, OvhSum: acc.ovhSum,
-		Samples: acc.samples,
-	}, nil
+	return acc, nil
 }
 
-// ReduceSharedPartials merges shared-curve source blocks, replaying the
-// engine's source-order reduction; the same tiling rules as
-// ReduceCurvePartials apply.
+// ReduceSharedPartials reduces shared-curve source blocks under the same
+// tiling rules and source-order fold as ReduceCurvePartials.
 func ReduceSharedPartials(sizes []int, parts []*SharedPartial) ([]SharedPoint, error) {
 	if len(parts) == 0 {
 		return nil, valid.Badf("mcast: no shared partials to reduce")
@@ -231,7 +316,6 @@ func ReduceSharedPartials(sizes []int, parts []*SharedPartial) ([]SharedPoint, e
 	if k != len(sizes) {
 		return nil, valid.Badf("mcast: partial has K=%d, want %d grid points", k, len(sizes))
 	}
-	acc := newSharedAccum(nSource, k)
 	next := 0
 	for _, pt := range ordered {
 		if pt.NSource != nSource || pt.K != k {
@@ -248,24 +332,19 @@ func ReduceSharedPartials(sizes []int, parts []*SharedPartial) ([]SharedPoint, e
 			len(pt.OvhSum) != cells || len(pt.Samples) != cells {
 			return nil, valid.Badf("mcast: shared partial [%d, %d) has wrong slab size", pt.SrcLo, pt.SrcHi)
 		}
-		off := pt.SrcLo * k
-		copy(acc.srcSum[off:], pt.SrcSum)
-		copy(acc.shrSum[off:], pt.ShrSum)
-		copy(acc.ovhSum[off:], pt.OvhSum)
-		copy(acc.samples[off:], pt.Samples)
 		next = pt.SrcHi
 	}
 	if next != nSource {
 		return nil, valid.Badf("mcast: source blocks cover [0, %d), want [0, %d)", next, nSource)
 	}
-	return acc.reduce(sizes), nil
+	return reduceShared(sizes, ordered), nil
 }
 
 // EnsemblePartial carries the per-network curves of the topology-ensemble
 // block [NetLo, NetHi): PerNet[i] is the full curve of network NetLo+i.
 // Ensembles shard at network granularity — each instance derives its
 // generation and measurement seeds from its global index — so a block's
-// curves are identical to the unsharded engine's.
+// curves never depend on the split.
 type EnsemblePartial struct {
 	NNetworks int `json:"n_networks"`
 	NetLo     int `json:"net_lo"`
@@ -275,7 +354,7 @@ type EnsemblePartial struct {
 }
 
 // MeasureEnsemblePartialCtx measures the network block [netLo, netHi) of
-// MeasureEnsembleCtx's sweep.
+// the ensemble sweep MeasureEnsembleCtx runs over [0, nNetworks).
 func MeasureEnsemblePartialCtx(ctx context.Context, gen func(seed int64) (*graph.Graph, error), nNetworks int, sizes []int, mode Mode, p Protocol, netLo, netHi int) (*EnsemblePartial, error) {
 	ctx = orBackground(ctx)
 	if gen == nil {
@@ -297,8 +376,8 @@ func MeasureEnsemblePartialCtx(ctx context.Context, gen func(seed int64) (*graph
 	return &EnsemblePartial{NNetworks: nNetworks, NetLo: netLo, NetHi: netHi, PerNet: perNet}, nil
 }
 
-// ReduceEnsemblePartials merges network-block partials by replaying the
-// engine's network-order weighted reduction; the blocks must tile
+// ReduceEnsemblePartials reduces network-block partials with the
+// network-order weighted fold of reduceEnsemble; the blocks must tile
 // [0, NNetworks) exactly.
 func ReduceEnsemblePartials(sizes []int, parts []*EnsemblePartial) ([]Point, error) {
 	if len(parts) == 0 {
@@ -313,7 +392,6 @@ func ReduceEnsemblePartials(sizes []int, parts []*EnsemblePartial) ([]Point, err
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].NetLo < ordered[j].NetLo })
 	nNetworks := ordered[0].NNetworks
-	perNet := make([][]Point, 0, nNetworks)
 	next := 0
 	for _, pt := range ordered {
 		if pt.NNetworks != nNetworks {
@@ -333,11 +411,10 @@ func ReduceEnsemblePartials(sizes []int, parts []*EnsemblePartial) ([]Point, err
 				return nil, valid.Badf("mcast: network %d curve has %d points, want %d", pt.NetLo+i, len(pts), len(sizes))
 			}
 		}
-		perNet = append(perNet, pt.PerNet...)
 		next = pt.NetHi
 	}
 	if next != nNetworks {
 		return nil, valid.Badf("mcast: network blocks cover [0, %d), want [0, %d)", next, nNetworks)
 	}
-	return reduceEnsemble(sizes, perNet), nil
+	return reduceEnsemble(sizes, ordered), nil
 }

@@ -46,7 +46,6 @@ func TestCurvePartialsByteIdentical(t *testing.T) {
 		"halves":     splitBlocks(base.NSource, 4),
 		"uneven":     splitBlocks(base.NSource, 1, 7),
 		"per-source": splitBlocks(base.NSource, 1, 2, 3, 4, 5, 6, 7, 8),
-		"whole":      splitBlocks(base.NSource),
 	}
 	for _, cfg := range configs {
 		for splitName, blocks := range splits {

@@ -7,6 +7,7 @@ import (
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/rng"
+	"mtreescale/internal/valid"
 )
 
 // This file implements shared-tree (core-based) multicast as a comparison
@@ -107,50 +108,30 @@ func MeasureSharedCurve(g *graph.Graph, sizes []int, strategy CoreStrategy, p Pr
 
 // MeasureSharedCurveCtx is MeasureSharedCurve under a cancellation context:
 // the worker pool observes ctx at grid-point granularity and returns its
-// error promptly after cancellation. A nil ctx means Background.
+// error promptly after cancellation. A nil ctx means Background. It is the
+// whole source range [0, NSource) measured as one block and reduced alone
+// (partial.go).
 func MeasureSharedCurveCtx(ctx context.Context, g *graph.Graph, sizes []int, strategy CoreStrategy, p Protocol) ([]SharedPoint, error) {
-	ctx = orBackground(ctx)
-	if err := validateSharedArgs(g, sizes, p); err != nil {
-		return nil, err
-	}
-	sources, cores, err := drawSharedPairs(g, strategy, p)
+	part, err := MeasureSharedCurvePartialCtx(ctx, g, sizes, strategy, p, 0, p.NSource)
 	if err != nil {
 		return nil, err
 	}
-
-	// Source and core trees resolve together: lane si is sources[si], lane
-	// NSource+si is cores[si].
-	combined := make([]int, 0, 2*p.NSource)
-	combined = append(combined, sources...)
-	combined = append(combined, cores...)
-	st, err := resolveBatch(g, combined, p)
-	if err != nil {
-		return nil, err
-	}
-	defer st.release()
-	acc := newSharedAccum(p.NSource, len(sizes))
-	err = runSourceWorkers(ctx, p, func(si int) error {
-		return measureSourceShared(ctx, g, si, si, p.NSource, sizes, p, st, acc)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc.reduce(sizes), nil
+	return ReduceSharedPartials(sizes, []*SharedPartial{part})
 }
 
-// validateSharedArgs is the argument check shared by the full and partial
-// shared-curve engines.
+// validateSharedArgs checks the arguments of a shared-tree sweep. Failures
+// wrap valid.ErrParam, so a worker answers a bad shard with a 400.
 func validateSharedArgs(g *graph.Graph, sizes []int, p Protocol) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	if g.N() < 2 {
-		return fmt.Errorf("mcast: graph too small (N=%d)", g.N())
+		return valid.Badf("mcast: graph too small (N=%d)", g.N())
 	}
 	maxPop := g.N() - 1
 	for _, s := range sizes {
 		if s <= 0 || s > maxPop {
-			return fmt.Errorf("mcast: group size %d out of [1, %d]", s, maxPop)
+			return valid.Badf("mcast: group size %d out of [1, %d]", s, maxPop)
 		}
 	}
 	return nil
@@ -159,8 +140,8 @@ func validateSharedArgs(g *graph.Graph, sizes []int, p Protocol) error {
 // drawSharedPairs pre-draws the full per-source (source, core) sequence for
 // the protocol. The two streams are independent children of the protocol
 // seed, so draining each in source order reproduces the sequences the
-// sequential loop consumed; a partial engine draws the full sequence and
-// slices its block, which keeps every source's identity independent of how
+// sequential loop consumed; the engine draws the full sequence and slices
+// its block, which keeps every source's identity independent of how
 // the sweep is sharded.
 func drawSharedPairs(g *graph.Graph, strategy CoreStrategy, p Protocol) (sources, cores []int, err error) {
 	var center int
@@ -188,68 +169,15 @@ func drawSharedPairs(g *graph.Graph, strategy CoreStrategy, p Protocol) (sources
 	return sources, cores, nil
 }
 
-// sharedAccum holds per-(source, size) partial sums of the shared-curve
-// engine in contiguous slabs indexed [si*K + k], the same lock-free layout as
-// curveAccum: distinct sources never share a cell.
-type sharedAccum struct {
-	K                      int
-	srcSum, shrSum, ovhSum []float64
-	samples                []int
-}
-
-func newSharedAccum(nSource, K int) *sharedAccum {
-	slab := make([]float64, 3*nSource*K)
-	return &sharedAccum{
-		K:       K,
-		srcSum:  slab[0 : nSource*K],
-		shrSum:  slab[nSource*K : 2*nSource*K],
-		ovhSum:  slab[2*nSource*K : 3*nSource*K],
-		samples: make([]int, nSource*K),
-	}
-}
-
-func (a *sharedAccum) add(si, k int, src, shr, overhead float64) {
-	i := si*a.K + k
-	a.srcSum[i] += src
-	a.shrSum[i] += shr
-	a.ovhSum[i] += overhead
-	a.samples[i]++
-}
-
-// reduce aggregates the slabs in source order for a scheduling-independent
-// float result.
-func (a *sharedAccum) reduce(sizes []int) []SharedPoint {
-	nSource := len(a.samples) / a.K
-	out := make([]SharedPoint, len(sizes))
-	for k := range out {
-		out[k].Size = sizes[k]
-		for si := 0; si < nSource; si++ {
-			i := si*a.K + k
-			out[k].MeanSourceTree += a.srcSum[i]
-			out[k].MeanSharedTree += a.shrSum[i]
-			out[k].MeanOverhead += a.ovhSum[i]
-			out[k].Samples += a.samples[i]
-		}
-		if out[k].Samples > 0 {
-			n := float64(out[k].Samples)
-			out[k].MeanSourceTree /= n
-			out[k].MeanSharedTree /= n
-			out[k].MeanOverhead /= n
-		}
-	}
-	return out
-}
-
 // measureSourceShared runs the shared-curve inner loop for one source: both
 // trees resolved through st, packed, then every (size, rep) sample measured
 // against each through the fused packed walks. ctx is polled at every grid
 // point.
 //
 // si is the global source index (RNG identity); lane is the source's slot in
-// st and the accumulator (lane == si for a full sweep); laneCount is the
-// number of source lanes in st, after which the core lanes start (p.NSource
-// for a full sweep, the block size for a partial one).
-func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCount int, sizes []int, p Protocol, st *sourceTrees, acc *sharedAccum) error {
+// st and the accumulator, si - SrcLo; laneCount is the number of source
+// lanes in st (the block size), after which the core lanes start.
+func measureSourceShared(ctx context.Context, g *graph.Graph, si, lane, laneCount int, sizes []int, p Protocol, st *sourceTrees, acc *SharedPartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
 	srcSPT, err := st.tree(lane, &sc.view, &sc.spt)
