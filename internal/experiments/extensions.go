@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/mcast"
@@ -104,51 +105,102 @@ func runExtSteiner(ctx context.Context, p Profile) (*Result, error) {
 
 	maxM := p.capSize(g.N() / 2)
 	sizes := mcast.LogSpacedSizes(maxM, p.GridPoints)
-	// Reduced sampling: Steiner needs one BFS per terminal per sample.
+	// Reduced sampling: a third of the protocol's sources and repetitions.
+	// With every tree resolved once below, a sample costs Prim's O(t²) over
+	// its t terminals; the reduction stays because raising it changes the
+	// results, which would be a declared change of its own.
 	nSource := p.NSource/3 + 1
 	nRcvr := p.NRcvr/3 + 1
+
+	// KMB reads the shortest-path tree of every terminal, and terminals
+	// range over the whole graph, so resolve every node's tree once (one
+	// MS-BFS fill; ts1000 has at most 1000 nodes) and read them lock-free.
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
+	if err := graph.SharedSPTs.FillBatch(g, all); err != nil {
+		return nil, err
+	}
+	spts := make([]*graph.SPT, g.N())
+	for v := range spts {
+		if spts[v], err = graph.SharedSPTs.Get(g, v); err != nil {
+			return nil, err
+		}
+	}
+	resolve := func(v int) (*graph.SPT, error) { return spts[v], nil }
+
+	// One cell per (size, source). Sources are pre-drawn in (size, source)
+	// order from one stream and every cell has its own receiver stream, so
+	// the cells run on the worker pool in any order. Each cell sums integer
+	// link counts into its own slot; the sums stay far below 2⁵³, so the
+	// per-size means are exact whatever the reduction order.
+	type steinerCell struct {
+		source         int
+		sptSum, kmbSum int64
+	}
+	cells := make([]steinerCell, len(sizes)*nSource)
 	srcRand := rng.NewChild(p.Seed, -1)
-	counter := mcast.NewTreeCounter(g.N())
+	for c := range cells {
+		cells[c].source = srcRand.Intn(g.N())
+	}
+	type steinerScratch struct {
+		solver  *steiner.Solver
+		counter *mcast.TreeCounter
+		smp     mcast.Sampler
+		recv    []int32
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(cells))
+	// One scratch per worker: a job takes one and puts it back, so the
+	// channel never holds more than it was filled with.
+	scratch := make(chan *steinerScratch, workers)
+	for w := 0; w < workers; w++ {
+		scratch <- &steinerScratch{solver: steiner.NewSolver(g.N(), resolve), counter: mcast.NewTreeCounter(g.N())}
+	}
+	err = mcast.RunWorkersN(ctx, workers, len(cells), func(j int) error {
+		c := len(cells) - 1 - j // largest sizes first: cell cost grows with m
+		si, m := c%nSource, sizes[c/nSource]
+		sc := <-scratch
+		defer func() { scratch <- sc }()
+		cell := &cells[c]
+		if err := sc.smp.Reset(g.N(), cell.source, rng.NewChild(p.Seed, int64(si*31+m))); err != nil {
+			return err
+		}
+		spt := spts[cell.source]
+		for rep := 0; rep < nRcvr; rep++ {
+			var err error
+			if sc.recv, err = sc.smp.Distinct(m, sc.recv); err != nil {
+				return err
+			}
+			cell.sptSum += int64(sc.counter.TreeSize(spt, sc.recv))
+			k, err := sc.solver.Size(cell.source, sc.recv)
+			if err != nil {
+				return err
+			}
+			cell.kmbSum += int64(k)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	sptXs := make([]float64, 0, len(sizes))
 	sptYs := make([]float64, 0, len(sizes))
 	kmbYs := make([]float64, 0, len(sizes))
 	ratioAtMax := 0.0
-	for _, m := range sizes {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	n := float64(nSource * nRcvr)
+	for mi, m := range sizes {
+		var sptSum, kmbSum int64
+		for _, cell := range cells[mi*nSource : (mi+1)*nSource] {
+			sptSum += cell.sptSum
+			kmbSum += cell.kmbSum
 		}
-		var sptSum, kmbSum float64
-		n := 0
-		for si := 0; si < nSource; si++ {
-			source := srcRand.Intn(g.N())
-			spt, err := graph.SharedSPTs.Get(g, source)
-			if err != nil {
-				return nil, err
-			}
-			smp, err := mcast.NewSampler(g.N(), source, rng.NewChild(p.Seed, int64(si*31+m)))
-			if err != nil {
-				return nil, err
-			}
-			var recv []int32
-			for rep := 0; rep < nRcvr; rep++ {
-				recv, err = smp.Distinct(m, recv)
-				if err != nil {
-					return nil, err
-				}
-				sptSum += float64(counter.TreeSize(spt, recv))
-				k, err := steiner.TreeSize(g, source, recv)
-				if err != nil {
-					return nil, err
-				}
-				kmbSum += float64(k)
-				n++
-			}
-		}
+		sptMean, kmbMean := float64(sptSum)/n, float64(kmbSum)/n
 		sptXs = append(sptXs, float64(m))
-		sptYs = append(sptYs, sptSum/float64(n))
-		kmbYs = append(kmbYs, kmbSum/float64(n))
-		ratioAtMax = (sptSum / float64(n)) / (kmbSum / float64(n))
+		sptYs = append(sptYs, sptMean)
+		kmbYs = append(kmbYs, kmbMean)
+		ratioAtMax = sptMean / kmbMean
 	}
 	if err := fig.AddXY("source SPT tree", sptXs, sptYs); err != nil {
 		return nil, err
