@@ -16,6 +16,10 @@ func FuzzRead(f *testing.F) {
 	f.Add("nodes -1\n")
 	f.Add("nodes 2\n0 99\n")
 	f.Add("")
+	// Headers that once exhausted the fuzz worker's memory: Build allocates
+	// per declared node before any edge is read.
+	f.Add("nodes 1000000000000\n")
+	f.Add("nodes 1000000000\n0 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := Read(strings.NewReader(input))
 		if err != nil {

@@ -18,6 +18,14 @@ import (
 // Duplicate edges and self-loops are cleaned on read, matching the paper's
 // topology preparation.
 
+// MaxReadNodes bounds the node count a `nodes N` header may declare. Build
+// allocates about 12 bytes per node before a single edge is read, so an
+// unchecked header of 10⁹ or 10¹² nodes would exhaust memory on a few bytes
+// of input; at this bound Build's per-node arrays stay under 50 MB. Larger
+// graphs (the streamed million-node regime) are built in memory by
+// BuildStreamed and never pass through Read.
+const MaxReadNodes = 1 << 22
+
 // Write serializes g in the edge-list format.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
@@ -68,6 +76,9 @@ func Read(r io.Reader) (*Graph, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", lineNo, fields[1])
+			}
+			if n > MaxReadNodes {
+				return nil, fmt.Errorf("graph: line %d: node count %d exceeds the limit %d", lineNo, n, MaxReadNodes)
 			}
 			if b != nil {
 				return nil, fmt.Errorf("graph: line %d: duplicate nodes directive", lineNo)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,17 +59,20 @@ func TestReadCleansDuplicates(t *testing.T) {
 
 func TestReadErrors(t *testing.T) {
 	cases := []string{
-		"",                     // no nodes directive
-		"0 1\n",                // edge before nodes
-		"nodes x\n",            // bad count
-		"nodes -5\n",           // negative count
-		"nodes 2\nnodes 2\n",   // duplicate directive
-		"nodes 2\n0\n",         // malformed edge
-		"nodes 2\n0 five\n",    // non-numeric endpoint
-		"nodes 2\n0 7\n",       // out of range
-		"name\nnodes 2\n",      // malformed name
-		"nodes 2 extra\n0 1\n", // malformed nodes
-		"nodes 2\n0 1 2\n",     // too many fields
+		"",                      // no nodes directive
+		"0 1\n",                 // edge before nodes
+		"nodes x\n",             // bad count
+		"nodes -5\n",            // negative count
+		"nodes 2\nnodes 2\n",    // duplicate directive
+		"nodes 2\n0\n",          // malformed edge
+		"nodes 2\n0 five\n",     // non-numeric endpoint
+		"nodes 2\n0 7\n",        // out of range
+		"name\nnodes 2\n",       // malformed name
+		"nodes 2 extra\n0 1\n",  // malformed nodes
+		"nodes 2\n0 1 2\n",      // too many fields
+		"nodes 1000000000000\n", // node count far above MaxReadNodes
+		"nodes 1000000000\n",    // 12 GB of Build arrays
+		"nodes " + strconv.Itoa(MaxReadNodes+1) + "\n",
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
