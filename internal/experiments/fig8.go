@@ -47,6 +47,9 @@ func runFig8(ctx context.Context, p Profile) (*Result, error) {
 		{"S(r)∝e^{λr²}", gau},
 	}
 	for _, m := range models {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		var xs, ys []float64
 		for _, n := range xGrid(1, fig8MaxN, p.GridPoints*3) {
 			l, err := m.r.ExpectedTreeLeaves(n)

@@ -1,6 +1,7 @@
 package wgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -73,7 +74,8 @@ type WeightedPoint struct {
 // MeasureWeightedCurve measures both the hop-count and the length-weighted
 // normalized tree size on the same samples, drawing m distinct receivers
 // per sample. Weighted trees use Dijkstra SPTs; hop trees use BFS SPTs.
-func MeasureWeightedCurve(gg *GeoGraph, sizes []int, nSource, nRcvr int, seed int64) ([]WeightedPoint, error) {
+// ctx is polled once per source; a cancelled sweep returns ctx.Err().
+func MeasureWeightedCurve(ctx context.Context, gg *GeoGraph, sizes []int, nSource, nRcvr int, seed int64) ([]WeightedPoint, error) {
 	if nSource < 1 || nRcvr < 1 {
 		return nil, fmt.Errorf("wgraph: need nSource, nRcvr >= 1 (got %d, %d)", nSource, nRcvr)
 	}
@@ -94,6 +96,9 @@ func MeasureWeightedCurve(gg *GeoGraph, sizes []int, nSource, nRcvr int, seed in
 	var bfs graph.SPT
 	hopCounter := newHopCounter(g.N())
 	for si := 0; si < nSource; si++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		source := srcRand.Intn(g.N())
 		if err := g.BFSInto(source, &bfs); err != nil {
 			return nil, err

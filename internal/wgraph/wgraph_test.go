@@ -1,6 +1,8 @@
 package wgraph
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -201,7 +203,7 @@ func TestMeasureWeightedCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{1, 5, 20, 60}
-	pts, err := MeasureWeightedCurve(gg, sizes, 8, 8, 2)
+	pts, err := MeasureWeightedCurve(context.Background(), gg, sizes, 8, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,14 +232,26 @@ func TestMeasureWeightedCurveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeasureWeightedCurve(gg, []int{1}, 0, 1, 1); err == nil {
+	if _, err := MeasureWeightedCurve(context.Background(), gg, []int{1}, 0, 1, 1); err == nil {
 		t.Fatal("nSource=0 must error")
 	}
-	if _, err := MeasureWeightedCurve(gg, []int{0}, 1, 1, 1); err == nil {
+	if _, err := MeasureWeightedCurve(context.Background(), gg, []int{0}, 1, 1, 1); err == nil {
 		t.Fatal("size 0 must error")
 	}
-	if _, err := MeasureWeightedCurve(gg, []int{gg.G.N()}, 1, 1, 1); err == nil {
+	if _, err := MeasureWeightedCurve(context.Background(), gg, []int{gg.G.N()}, 1, 1, 1); err == nil {
 		t.Fatal("m = N must error")
+	}
+}
+
+func TestMeasureWeightedCurveCancelled(t *testing.T) {
+	gg, err := WaxmanGeo(100, 0.6, 0.25, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MeasureWeightedCurve(ctx, gg, []int{1, 5}, 4, 4, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled sweep returned %v, want context.Canceled", err)
 	}
 }
 
@@ -252,7 +266,7 @@ func TestWeightedAndHopExponentsClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := []int{2, 4, 8, 16, 32, 64, 128}
-	pts, err := MeasureWeightedCurve(gg, sizes, 12, 12, 3)
+	pts, err := MeasureWeightedCurve(context.Background(), gg, sizes, 12, 12, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +297,11 @@ func TestMeasureWeightedCurveDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := MeasureWeightedCurve(gg, []int{2, 10}, 4, 4, 11)
+	a, err := MeasureWeightedCurve(context.Background(), gg, []int{2, 10}, 4, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MeasureWeightedCurve(gg, []int{2, 10}, 4, 4, 11)
+	b, err := MeasureWeightedCurve(context.Background(), gg, []int{2, 10}, 4, 4, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
