@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mtreescale/internal/graph"
 	"mtreescale/internal/panicsafe"
+	"mtreescale/internal/topology"
 )
 
 // registerTemp installs a throwaway runner for one test and removes it on
@@ -229,6 +232,12 @@ func TestRunManyCtxHeapGuard(t *testing.T) {
 // The heap guard monitor must catch an experiment that balloons after the
 // pre-check passes, aborting it (not the process) with ErrHeapLimit.
 func TestRunManyCtxHeapGuardMonitor(t *testing.T) {
+	// The guard reads the process-wide heap, so topologies and trees cached
+	// by earlier tests would count against the 128 MiB limit and fail the
+	// sibling's pre-check. Start from empty caches whatever ran before.
+	topology.ResetCache()
+	graph.SharedSPTs.Clear()
+	runtime.GC()
 	registerTemp(t, &Runner{
 		ID: "zz-balloon",
 		Run: func(ctx context.Context, p Profile) (*Result, error) {
