@@ -1,6 +1,7 @@
 package mcast
 
 import (
+	"mtreescale/internal/arena"
 	"mtreescale/internal/graph"
 )
 
@@ -24,6 +25,17 @@ import (
 // Receiver slices come from the Sampler, whose site population is built from
 // node IDs in [0, N), so the loops index pd without range guards; the
 // unreachable check doubles as the only per-receiver branch.
+//
+// A sample is counted one of two ways. The climb (measurePacked) walks up
+// from the m receivers and costs about the tree size, which nears N once m
+// is a large share of the population M. measureComplement instead reads the
+// M−m sites the draw left behind: the delivery tree is every reachable
+// non-source node except those whose whole SPT subtree is undrawn, and the
+// receiver count and hop sum are the population totals minus the rest's.
+// The independent-sets engine takes the complement for Distinct samples with
+// 2m > M, where the rest is the smaller side. Both count the same node set
+// and the same sums, so the integers — and every float built from them —
+// are identical whichever path runs.
 
 // packTree packs spt's Dist and Parent into one int64-per-node array,
 // reusing dst's storage when large enough.
@@ -147,6 +159,100 @@ func (c *TreeCounter) measurePacked(source int32, pd []int64, receivers []int32)
 		}
 	}
 	return m
+}
+
+// complementTree is the per-source state of measureComplement: the SPT
+// child counts and the totals of the tree that spans every site. The site
+// population must be every node but, optionally, the source — the
+// Sampler.Reset population — so that each reachable non-source node is either
+// a receiver or in the rest.
+type complementTree struct {
+	kids  []int32 // kids[v]: reachable SPT children of v
+	left  []int32 // left[q]: children of rest node q not yet peeled
+	sites int     // reachable sites
+	hops  int64   // Σ dist over the reachable sites
+	links int     // reachable non-source nodes
+}
+
+// prepare fills ct for the packed tree pd rooted at source in one O(N) pass;
+// sourceIsSite is Protocol.IncludeSource. The arrays come from ar.
+func (ct *complementTree) prepare(ar *arena.Arena, source int32, pd []int64, sourceIsSite bool) {
+	n := len(pd)
+	ct.kids = ar.GrowInt32(ct.kids, n)
+	ct.left = ar.GrowInt32(ct.left, n)
+	kids := ct.kids
+	clear(kids)
+	reach := 0
+	var hops int64
+	for v, w := range pd {
+		if w < 0 {
+			continue
+		}
+		reach++
+		hops += w >> 32
+		if int32(v) != source {
+			kids[int32(uint32(w))]++
+		}
+	}
+	ct.links = reach - 1
+	ct.sites = reach
+	if !sourceIsSite {
+		ct.sites--
+	}
+	ct.hops = hops
+}
+
+// measureComplement returns the Measurement of the receivers a Distinct draw
+// took, given the sites it left behind (rest) and ct prepared for the same
+// source and pd. One pass marks the rest under a fresh visited epoch, sums
+// its reachable count and hops, and loads each rest node's remaining-children
+// counter from ct.kids, so left[q] is valid exactly where visited[q] carries
+// the epoch. A second pass peels upward from each reachable childless rest
+// node: a node is off the tree iff it is in the rest and all its children
+// are off the tree, so a parent is peeled when its counter reaches zero.
+// Leaves start a peel and inner nodes are reached only through their last
+// child, so each off-tree node is counted once. Cost is O(len(rest)).
+func (c *TreeCounter) measureComplement(source int32, pd []int64, ct *complementTree, rest []int32) Measurement {
+	if len(pd) > len(c.visited) {
+		c.visited = make([]int32, len(pd))
+		c.epoch = 0
+	}
+	c.epoch++
+	epoch, visited, kids, left := c.epoch, c.visited, ct.kids, ct.left
+	restReach := 0
+	var restHops int64
+	for _, q := range rest {
+		visited[q] = epoch
+		left[q] = kids[q]
+		if w := pd[q]; w >= 0 {
+			restReach++
+			restHops += w >> 32
+		}
+	}
+	off := 0
+	for _, q := range rest {
+		if kids[q] != 0 || pd[q] < 0 || q == source {
+			continue
+		}
+		for v := q; ; {
+			off++
+			p := int32(uint32(pd[v]))
+			// The source is never a link, even when it is in the rest.
+			if p == source || visited[p] != epoch {
+				break
+			}
+			left[p]--
+			if left[p] != 0 {
+				break
+			}
+			v = p
+		}
+	}
+	return Measurement{
+		Links:       ct.links - off,
+		UnicastHops: ct.hops - restHops,
+		Receivers:   ct.sites - restReach,
+	}
 }
 
 // treeSizePacked is the packed equivalent of TreeSize, with the same

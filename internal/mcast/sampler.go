@@ -161,13 +161,12 @@ func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
 	}
 	if m*4 >= M {
 		// Partial Fisher-Yates over a scratch copy.
+		if s.rr != nil {
+			return append(dst, s.shuffleCopy(m)[:m]...), nil
+		}
 		s.buf = s.growScratch(s.buf, M)
 		copy(s.buf, s.sites)
 		buf := s.buf
-		if rr := s.rr; rr != nil {
-			rr.PermPrefix32(buf, m)
-			return append(dst, buf[:m]...), nil
-		}
 		for i := 0; i < m; i++ {
 			j := i + s.r.Intn(M-i)
 			buf[i], buf[j] = buf[j], buf[i]
@@ -205,6 +204,17 @@ func (s *Sampler) Distinct(m int, dst []int32) ([]int32, error) {
 		dst = append(dst, s.sites[pick])
 	}
 	return dst, nil
+}
+
+// shuffleCopy is Distinct's Fisher-Yates draw on a concrete stream: it copies
+// the sites into the scratch buffer and shuffles its first m slots. The
+// returned buffer holds the sample in [:m] and the undrawn sites in [m:]; it
+// is overwritten by the next draw. It needs s.rr != nil and 0 <= m <= M.
+func (s *Sampler) shuffleCopy(m int) []int32 {
+	s.buf = s.growScratch(s.buf, len(s.sites))
+	copy(s.buf, s.sites)
+	s.rr.PermPrefix32(s.buf, m)
+	return s.buf
 }
 
 // Permutation draws m distinct sites in uniform random order: every prefix
