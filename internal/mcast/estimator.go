@@ -290,18 +290,21 @@ type sourceScratch struct {
 	counter *TreeCounter
 	smp     Sampler
 	recv    []int32
-	// ar backs pd/pd2 and the sampler scratch with recycled slabs, so
+	ct      complementTree // sized only for grids with a size past M/2
+	// ar backs pd/pd2, ct and the sampler scratch with recycled slabs, so
 	// sweeping graphs of different scales (the large-graph regime's 1M/10M
 	// interleavings) re-slabs instead of re-allocating. The counter keeps
 	// plain make: its epoch array must be zeroed on growth either way.
 	ar *arena.Arena
 }
 
-var scratchPool = sync.Pool{New: func() any {
+var scratchPool = sync.Pool{New: func() any { return newSourceScratch() }}
+
+func newSourceScratch() *sourceScratch {
 	sc := &sourceScratch{ar: arena.New()}
 	sc.smp.ar = sc.ar
 	return sc
-}}
+}
 
 func getScratch(n int) *sourceScratch {
 	sc := scratchPool.Get().(*sourceScratch)
@@ -339,36 +342,71 @@ func (sc *sourceScratch) prepare(g *graph.Graph, si, lane int, p Protocol, st *s
 // measureSourceIndependent runs the paper-faithful §2 inner loop for one
 // source: an independent receiver set per (size, repetition), observing ctx
 // at every grid point so cancellation interrupts even a single huge source.
-// The tree is packed once per source and every sample measured through the
-// fused packed walk (exact-integer equivalent of counter.Measure).
+// The tree is packed once per source and every sample measured through one
+// of the two packed counts (packed.go), both exact-integer equivalents of
+// counter.Measure:
+//
+//   - a Distinct sample with 2m > M (M the sampler population) is drawn by
+//     the same Fisher-Yates shuffle Distinct runs and counted from the M−m
+//     sites it left behind (measureComplement). The RNG stream and the
+//     receiver set are Distinct's, so every byte of output is unchanged;
+//   - every other sample is climbed from its receivers (measurePacked).
+//
+// The complement's O(N) per-source prep runs only when the grid has a size
+// past M/2. Which path runs follows from m and M alone; nothing selects it.
 //
 // si is the global source index (RNG identity); lane is the tree and
 // accumulator slot, si - SrcLo.
 func measureSourceIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, st *sourceTrees, acc *CurvePartial) error {
 	sc := getScratch(g.N())
 	defer scratchPool.Put(sc)
+	return sc.measureIndependent(ctx, g, si, lane, sizes, mode, p, st, acc)
+}
+
+// measureIndependent is measureSourceIndependent on a given scratch.
+func (sc *sourceScratch) measureIndependent(ctx context.Context, g *graph.Graph, si, lane int, sizes []int, mode Mode, p Protocol, st *sourceTrees, acc *CurvePartial) error {
 	spt, err := sc.prepare(g, si, lane, p, st)
 	if err != nil {
 		return err
 	}
 	sc.pd = packTree(spt, sc.growPacked(sc.pd, len(spt.Parent)))
+	source := int32(spt.Source)
+	// A size is counted from the rest when 2m > M; validateCurveArgs has
+	// already bounded Distinct sizes by M.
+	pop := sc.smp.Population()
+	fromRest := func(size int) bool {
+		return mode == Distinct && sc.smp.rr != nil && 2*size > pop
+	}
+	for _, size := range sizes {
+		if fromRest(size) {
+			sc.ct.prepare(sc.ar, source, sc.pd, p.IncludeSource)
+			break
+		}
+	}
 	for k, size := range sizes {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		complement := fromRest(size)
 		for rep := 0; rep < p.NRcvr; rep++ {
-			switch mode {
-			case Distinct:
-				sc.recv, err = sc.smp.Distinct(size, sc.recv)
-			case WithReplacement:
-				sc.recv, err = sc.smp.WithReplacement(size, sc.recv)
-			default:
-				err = fmt.Errorf("mcast: unknown mode %v", mode)
+			var meas Measurement
+			if complement {
+				rest := sc.smp.shuffleCopy(size)[size:]
+				meas = sc.counter.measureComplement(source, sc.pd, &sc.ct, rest)
+			} else {
+				switch mode {
+				case Distinct:
+					sc.recv, err = sc.smp.Distinct(size, sc.recv)
+				case WithReplacement:
+					sc.recv, err = sc.smp.WithReplacement(size, sc.recv)
+				default:
+					err = fmt.Errorf("mcast: unknown mode %v", mode)
+				}
+				if err != nil {
+					return err
+				}
+				meas = sc.counter.measurePacked(source, sc.pd, sc.recv)
 			}
-			if err != nil {
-				return err
-			}
-			meas := sc.counter.measurePacked(int32(spt.Source), sc.pd, sc.recv)
 			if meas.Receivers == 0 {
 				continue // source in a tiny component; skip sample
 			}
