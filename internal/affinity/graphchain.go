@@ -2,10 +2,10 @@ package affinity
 
 import (
 	"fmt"
-	"math"
 
 	"mtreescale/internal/graph"
 	"mtreescale/internal/mcast"
+	"mtreescale/internal/rng"
 	"mtreescale/internal/valid"
 )
 
@@ -27,7 +27,7 @@ type GraphChain struct {
 	source int
 	beta   float64
 	n      int
-	rand   randSource
+	rand   *rng.Rand
 
 	dist      [][]int16 // dist[u][v]: all-pairs hop distances
 	spt       *graph.SPT
@@ -43,7 +43,7 @@ type GraphChain struct {
 
 // NewGraphChain builds a chain of n receivers on g with the given source.
 // The graph must be connected and have at most MaxGraphChainNodes nodes.
-func NewGraphChain(g *graph.Graph, source, n int, beta float64, r randSource) (*GraphChain, error) {
+func NewGraphChain(g *graph.Graph, source, n int, beta float64, r *rng.Rand) (*GraphChain, error) {
 	return NewGraphChainCached(g, source, n, beta, r, nil)
 }
 
@@ -54,7 +54,7 @@ func NewGraphChain(g *graph.Graph, source, n int, beta float64, r randSource) (*
 // sweep's BFS work to a single pass. The pass runs through the MS-BFS kernel,
 // 64 sources per traversal: as a cache pre-fill when a cache is supplied,
 // else reading distance rows straight off a pooled 64-lane slab.
-func NewGraphChainCached(g *graph.Graph, source, n int, beta float64, r randSource, spts *graph.SPTCache) (*GraphChain, error) {
+func NewGraphChainCached(g *graph.Graph, source, n int, beta float64, r *rng.Rand, spts *graph.SPTCache) (*GraphChain, error) {
 	if g.N() < 2 {
 		return nil, valid.Badf("affinity: graph too small (N=%d)", g.N())
 	}
@@ -228,7 +228,7 @@ func (c *GraphChain) Step() {
 		pairs := float64(int64(c.n) * int64(c.n-1) / 2)
 		deltaD := float64(delta) / pairs
 		if (c.beta > 0 && deltaD > 0) || (c.beta < 0 && deltaD < 0) {
-			accept = c.rand.Float64() < math.Exp(-c.beta*deltaD)
+			accept = !reject(c.rand.Float64(), -c.beta*deltaD)
 		}
 	}
 	if !accept {
