@@ -64,7 +64,7 @@ func runFig6(ctx context.Context, id string, names []string, p Profile) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := reach.MeasureAveragedCached(g, p.NSource, rng.Split(p.Seed, int64(gi)), graph.SharedSPTs)
+		r, err := reach.MeasureAveragedCached(ctx, g, p.NSource, rng.Split(p.Seed, int64(gi)), graph.SharedSPTs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.Name(), err)
 		}
@@ -114,7 +114,7 @@ func runFig7(ctx context.Context, id string, names []string, p Profile) (*Result
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := reach.MeasureAveragedCached(g, p.NSource, rng.Split(p.Seed, int64(gi)), graph.SharedSPTs)
+		r, err := reach.MeasureAveragedCached(ctx, g, p.NSource, rng.Split(p.Seed, int64(gi)), graph.SharedSPTs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", g.Name(), err)
 		}

@@ -39,7 +39,11 @@ func runTable1(ctx context.Context, p Profile) (*Result, error) {
 		}
 		m := graph.ComputeMetrics(g, p.NSource, p.Seed)
 		growth := "n/a"
-		if r, err := reach.MeasureAveragedCached(g, p.NSource, p.Seed, graph.SharedSPTs); err == nil {
+		r, err := reach.MeasureAveragedCached(ctx, g, p.NSource, p.Seed, graph.SharedSPTs)
+		if err != nil && ctx.Err() != nil {
+			return nil, err
+		}
+		if err == nil {
 			if cls, err := r.Classify(0.5); err == nil {
 				growth = cls.String()
 			}
